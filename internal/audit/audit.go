@@ -32,15 +32,6 @@ import (
 // class), whatever values they specify.
 func ShapeOf(q query.Query) string { return q.Shape() }
 
-// Bound returns the paper's strict-optimality bound ceil(rq/m) for a
-// query with |R(q)| = rq qualified buckets on m devices.
-func Bound(rq, m int) int {
-	if m <= 0 {
-		return 0
-	}
-	return (rq + m - 1) / m
-}
-
 // SLO is a per-shape latency objective: at least Goal of the shape's
 // queries must complete within Target. Failed retrievals always count
 // against the objective. The zero SLO disables tracking.
@@ -88,8 +79,8 @@ type shapeState struct {
 }
 
 // Auditor audits every retrieval of one backend against the
-// strict-optimality bound, keyed by query shape. It implements the
-// engine's Auditor hook; construction is via For.
+// strict-optimality bound, keyed by query shape. It is a fold over the
+// engine's per-retrieval obs.QueryRecord; construction is via For.
 type Auditor struct {
 	backend string
 
@@ -143,30 +134,32 @@ func (a *Auditor) ShapeSLO(shape string) SLO {
 	return a.sloFor(shape)
 }
 
-// RetrievalDone audits one finished retrieval: rq is |R(q)| and
-// deviceBuckets the per-device qualified-bucket counts (nil for a
-// failed retrieval, which still counts against the shape's SLO). It is
-// the engine executor's audit hook.
-func (a *Auditor) RetrievalDone(q query.Query, rq int, deviceBuckets []int, elapsed time.Duration) {
-	shape := ShapeOf(q)
+// Fold audits one finished retrieval from its record: the per-device
+// qualified-bucket counts against the record's bound ceil(|R(q)|/M). A
+// failed retrieval is counted but not bound-checked, and still counts
+// against the shape's SLO. Records without a shape (the query failed
+// before planning) are not audited.
+func (a *Auditor) Fold(rec *obs.QueryRecord) {
+	shape := rec.Shape
+	if shape == "" {
+		return
+	}
 	burn := 0.0
 	a.mu.Lock()
 	st := a.state(shape)
 	st.queries++
 	st.mQueries.Inc()
-	ok := deviceBuckets != nil
+	ok := rec.Err == ""
 	if ok {
-		m := len(deviceBuckets)
-		bound := Bound(rq, m)
-		st.bound, st.rq, st.m = bound, rq, m
-		st.mBound.Set(float64(bound))
+		st.bound, st.rq, st.m = rec.Bound, rec.RQ, len(rec.Devices)
+		st.mBound.Set(float64(rec.Bound))
 		worst, worstDev := 0, -1
-		for dev, b := range deviceBuckets {
-			if b > st.maxBuckets {
-				st.maxBuckets = b
+		for _, d := range rec.Devices {
+			if d.Buckets > st.maxBuckets {
+				st.maxBuckets = d.Buckets
 			}
-			if d := b - bound; d > worst {
-				worst, worstDev = d, dev
+			if dev := d.Buckets - rec.Bound; dev > worst {
+				worst, worstDev = dev, d.Device
 			}
 		}
 		if worst > 0 {
@@ -181,7 +174,7 @@ func (a *Auditor) RetrievalDone(q query.Query, rq int, deviceBuckets []int, elap
 		}
 	}
 	if slo := a.sloFor(shape); slo.Target > 0 {
-		bad := !ok || elapsed > slo.Target
+		bad := !ok || rec.Elapsed > slo.Target
 		if bad {
 			st.bad++
 			st.mBad.Inc()
@@ -210,7 +203,7 @@ func (a *Auditor) RetrievalDone(q query.Query, rq int, deviceBuckets []int, elap
 	// Outside the lock: the triggered-profiling hook may kick off an
 	// async pprof capture when the shape's burn rate or this query's
 	// latency crosses a configured threshold (no-op when off).
-	obs.ConsiderProfile(a.backend, shape, elapsed, burn)
+	obs.ConsiderProfile(a.backend, shape, rec.Elapsed, burn)
 }
 
 // Backend returns the backend label this auditor reports under.

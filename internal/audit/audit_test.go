@@ -4,10 +4,25 @@ import (
 	"testing"
 	"time"
 
+	"fxdist/internal/obs"
+	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 )
 
 func q(spec ...int) query.Query { return query.New(spec) }
+
+// rec builds the record the engine folds for one retrieval of q with
+// |R(q)| = rq; nil buckets mark a failed retrieval.
+func rec(q query.Query, rq int, buckets []int, elapsed time.Duration) *obs.QueryRecord {
+	r := &obs.QueryRecord{Shape: ShapeOf(q), RQ: rq, Bound: plancache.Bound(rq, len(buckets)), Elapsed: elapsed}
+	if buckets == nil {
+		r.Err = "failed"
+	}
+	for dev, b := range buckets {
+		r.Devices = append(r.Devices, obs.DeviceRecord{Device: dev, Buckets: b})
+	}
+	return r
+}
 
 func TestShapeOf(t *testing.T) {
 	u := query.Unspecified
@@ -26,29 +41,18 @@ func TestShapeOf(t *testing.T) {
 	}
 }
 
-func TestBound(t *testing.T) {
-	cases := []struct{ rq, m, want int }{
-		{4, 4, 1}, {5, 4, 2}, {8, 4, 2}, {1, 4, 1}, {0, 4, 0}, {7, 0, 0},
-	}
-	for _, c := range cases {
-		if got := Bound(c.rq, c.m); got != c.want {
-			t.Errorf("Bound(%d,%d) = %d, want %d", c.rq, c.m, got, c.want)
-		}
-	}
-}
-
 func TestAuditorAggregatesPerShape(t *testing.T) {
 	a := For("test-agg")
 	u := query.Unspecified
 
 	// Strict optimal retrieval: bound ceil(4/4)=1, all devices at 1.
-	a.RetrievalDone(q(u, 0, u), 4, []int{1, 1, 1, 1}, time.Millisecond)
+	a.Fold(rec(q(u, 0, u), 4, []int{1, 1, 1, 1}, time.Millisecond))
 	// Violating retrieval of the same shape: device 2 serves 3 > 1.
-	a.RetrievalDone(q(u, 1, u), 4, []int{1, 0, 3, 0}, time.Millisecond)
+	a.Fold(rec(q(u, 1, u), 4, []int{1, 0, 3, 0}, time.Millisecond))
 	// A different shape stays separate.
-	a.RetrievalDone(q(0, 0, u), 2, []int{1, 1, 0, 0}, time.Millisecond)
+	a.Fold(rec(q(0, 0, u), 2, []int{1, 1, 0, 0}, time.Millisecond))
 	// Failed retrieval: counted, not audited.
-	a.RetrievalDone(q(u, 2, u), 4, nil, time.Millisecond)
+	a.Fold(rec(q(u, 2, u), 4, nil, time.Millisecond))
 
 	rep := a.Report()
 	if len(rep.Shapes) != 2 {
@@ -87,10 +91,10 @@ func TestSLOCountsAndBurnRate(t *testing.T) {
 	a := For("test-slo")
 	u := query.Unspecified
 	for i := 0; i < 8; i++ {
-		a.RetrievalDone(q(u, 0), 2, []int{1, 1}, time.Millisecond) // good
+		a.Fold(rec(q(u, 0), 2, []int{1, 1}, time.Millisecond)) // good
 	}
-	a.RetrievalDone(q(u, 1), 2, []int{1, 1}, time.Second) // slow: bad
-	a.RetrievalDone(q(u, 2), 2, nil, time.Millisecond)    // failed: bad
+	a.Fold(rec(q(u, 1), 2, []int{1, 1}, time.Second)) // slow: bad
+	a.Fold(rec(q(u, 2), 2, nil, time.Millisecond))    // failed: bad
 
 	rep := a.Report()
 	if len(rep.Shapes) != 1 {
@@ -114,8 +118,8 @@ func TestShapeSLOOverride(t *testing.T) {
 	SetShapeSLO("test-override", "*s", SLO{Target: time.Nanosecond, Goal: 0.5})
 	a := For("test-override")
 	u := query.Unspecified
-	a.RetrievalDone(q(u, 0), 2, []int{1, 1}, time.Millisecond) // misses the 1ns override
-	a.RetrievalDone(q(0, u), 2, []int{1, 1}, time.Millisecond) // meets the 1h default
+	a.Fold(rec(q(u, 0), 2, []int{1, 1}, time.Millisecond)) // misses the 1ns override
+	a.Fold(rec(q(0, u), 2, []int{1, 1}, time.Millisecond)) // meets the 1h default
 
 	var over, def ShapeReport
 	for _, s := range a.Report().Shapes {
@@ -136,7 +140,7 @@ func TestShapeSLOOverride(t *testing.T) {
 func TestResetZeroesState(t *testing.T) {
 	a := For("test-reset")
 	u := query.Unspecified
-	a.RetrievalDone(q(u, 0), 2, []int{2, 0}, time.Millisecond)
+	a.Fold(rec(q(u, 0), 2, []int{2, 0}, time.Millisecond))
 	if rep := a.Report(); rep.Shapes[0].Violations != 1 {
 		t.Fatalf("setup: %+v", rep.Shapes)
 	}

@@ -10,6 +10,7 @@ import (
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mkhash"
+	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 )
 
@@ -38,7 +39,7 @@ func auditExec(t *testing.T, f *mkhash.File, fs decluster.FileSystem, alloc decl
 		Schema:  f,
 		FS:      fs,
 		Devices: devices,
-		Audit:   audit.For(backend),
+		Sinks:   []engine.Sink{audit.For(backend)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestAuditorFlagsModuloSparesFX(t *testing.T) {
 	modQ := run("engine-test-modulo", mod, modPM)
 
 	// Ground truth: the brute-force load vectors the auditor must agree with.
-	bound := audit.Bound(4, fs.M)
+	bound := plancache.Bound(4, fs.M)
 	if got := query.LargestLoad(fx, fxQ); got != bound {
 		t.Fatalf("premise: FX largest load %d, want bound %d", got, bound)
 	}
@@ -122,7 +123,7 @@ func TestAuditorCountsFailedRetrievals(t *testing.T) {
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{err: errors.New("boom")}},
-		Audit:   audit.For("engine-test-fail"),
+		Sinks:   []engine.Sink{audit.For("engine-test-fail")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestSLOThroughExecutor(t *testing.T) {
 	e, err := engine.New(engine.Config{
 		Schema:  f,
 		Devices: []engine.Device{fixedDevice{ans: engine.Answer{Buckets: 1}}},
-		Audit:   audit.For("engine-test-slo"),
+		Sinks:   []engine.Sink{audit.For("engine-test-slo")},
 	})
 	if err != nil {
 		t.Fatal(err)

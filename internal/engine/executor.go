@@ -14,18 +14,15 @@ import (
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
-// Observer receives the executor's per-retrieval instrumentation events.
-// RetrieveStarted fires before planning; exactly one RetrieveDone follows
-// (with the wall-clock elapsed time, and the per-device qualified-bucket
-// counts on success, nil on failure). RetrieveError fires once per failed
-// retrieval, before its RetrieveDone.
-type Observer interface {
-	RetrieveStarted()
-	RetrieveError()
-	RetrieveDone(elapsed time.Duration, deviceBuckets []int)
+// Sink folds finished retrievals. The executor builds one
+// obs.QueryRecord per retrieval and hands it to every sink of its
+// Config, in order; Fold runs synchronously on the retrieval path and
+// must be cheap. A sink that keeps the record keeps a copy of the
+// struct, never the pointer.
+type Sink interface {
+	Fold(rec *obs.QueryRecord)
 }
 
 // RetryPolicy decides what to do when a device's scan fails: return a
@@ -47,8 +44,6 @@ type Config struct {
 	Devices []Device
 	// Model prices each device's work; the zero model reports zero times.
 	Model CostModel
-	// Observer, if set, receives retrieval metrics events.
-	Observer Observer
 	// Tracer, if set, opens a span per retrieval.
 	Tracer *obs.Tracer
 	// Span names the tracer spans (e.g. "storage.retrieve").
@@ -62,9 +57,6 @@ type Config struct {
 	// Resilience is the composable failure-handling configuration:
 	// policy chain, hedger, graceful degradation. See Resilience.
 	Resilience Resilience
-	// Audit, if set, receives every finished retrieval for online
-	// strict-optimality auditing and per-shape SLO accounting.
-	Audit Auditor
 	// Alloc, when set, is the group allocator behind Devices; it lets the
 	// plan cache compile per-device qualified-bucket enumerations that
 	// devices use instead of re-walking the inverse mapper.
@@ -74,19 +66,12 @@ type Config struct {
 	// and (with Alloc set) the per-device enumeration. Nil or disabled
 	// runs the uncached path.
 	Plans *plancache.Cache
-	// Profile, if set, receives every retrieval's per-stage cost
-	// breakdown (wall time + alloc deltas), aggregated by query shape.
-	Profile *obs.CostProfiler
-	// Flight, if set, retains the slowest queries per shape with their
-	// full stage breakdown and per-device detail.
-	Flight *obs.FlightRecorder
-	// Events, if set, receives one wide event per retrieval (shape,
-	// plan-cache hit, stage costs, per-device buckets vs bound, trace
-	// ID, error manifest). The log's keep decision also drives
-	// tail-based trace retention and histogram exemplars: always-keep
-	// queries (error / SLO-slow / bound-violating) retain their full
-	// trace tree, the rest are uniform-sampled.
-	Events *telemetry.EventLog
+	// Sinks fold every finished retrieval's record, in order; a sink
+	// may read what an earlier one wrote into it (the event log's keep
+	// decision drives the tracer's retention, which the metrics'
+	// exemplar reads). Sinks builds the standard list. With no sinks the
+	// executor skips cost attribution and builds no record.
+	Sinks []Sink
 	// NoPool disables the hot-path buffer pools for this executor: all
 	// fan-out scratch, hit frames and merged record slices come fresh
 	// from the allocator, exactly the pre-pooling behaviour. The escape
@@ -107,17 +92,13 @@ type Executor struct {
 	fs     decluster.FileSystem
 	devs   []Device
 	model  CostModel
-	obs    Observer
+	sinks  []Sink
 	tracer *obs.Tracer
 	span   string
 	retry  RetryPolicy
 	res    Resilience
-	audit  Auditor
 	alloc  decluster.GroupAllocator
 	plans  *plancache.Cache
-	prof   *obs.CostProfiler
-	flight *obs.FlightRecorder
-	events *telemetry.EventLog
 	noPool bool
 	arena  bool
 	pool   *pool
@@ -143,17 +124,13 @@ func New(cfg Config) (*Executor, error) {
 		fs:     cfg.FS,
 		devs:   cfg.Devices,
 		model:  cfg.Model,
-		obs:    cfg.Observer,
+		sinks:  cfg.Sinks,
 		tracer: cfg.Tracer,
 		span:   cfg.Span,
 		retry:  cfg.Retry,
 		res:    cfg.Resilience,
-		audit:  cfg.Audit,
 		alloc:  cfg.Alloc,
 		plans:  cfg.Plans,
-		prof:   cfg.Profile,
-		flight: cfg.Flight,
-		events: cfg.Events,
 		noPool: cfg.NoPool,
 		arena:  cfg.ArenaResults,
 		pool:   newPool(workers),
@@ -189,7 +166,7 @@ func (e *Executor) M() int { return len(e.devs) }
 func (e *Executor) Plans() *plancache.Cache { return e.plans }
 
 // spanKey carries the retrieval's trace span through the context so that
-// devices (e.g. the remote gob device) can attach protocol events to it.
+// devices (e.g. the remote device) can attach protocol events to it.
 type spanKey struct{}
 
 // ContextWithSpan returns ctx carrying span.
@@ -339,48 +316,42 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 	return p
 }
 
-// call is one in-flight fan-out: per-device answer slots plus an atomic
-// countdown that closes done when the last device task finishes. Waiters
-// that give up early (context cancelled) simply abandon the call; the
-// remaining tasks write into the call's private slices and exit.
+// call is one retrieval: its plan, per-device answer slots plus an
+// atomic countdown that closes done when the last device task finishes,
+// and the record the sinks fold. Waiters that give up early (context
+// cancelled) simply abandon the call; the remaining tasks write into the
+// call's private slices and exit.
 type call struct {
-	t0      time.Time
+	started time.Time // retrieval entry, plan included
 	span    *obs.Span
 	q       query.Query
+	pm      mkhash.PartialMatch
+	plan    *plancache.Plan // nil when planning failed
+	planHit bool
 	caller  string // attribution for the wide-event query log
-	rq      int    // |R(q)| for the optimality audit
 	answers []Answer
 	errs    []error
 	pending atomic.Int64
 	done    chan struct{}
 
-	// Cost-attribution state, populated only when the executor has a
-	// profiler or flight recorder (instr true). started is the
-	// retrieval's entry time (plan stage included, unlike t0 which marks
-	// fan-out start); mark/lastStamp walk the alloc counter and clock
-	// from stage boundary to stage boundary.
+	// Cost attribution, on when the executor has sinks (instr): mark and
+	// lastStamp walk the alloc counter and clock from stage boundary to
+	// stage boundary, stages collects the closed stages and devs each
+	// device's scan time. Both are allocated per call and handed to the
+	// record, so a kept record never pins the call (or its plan).
 	instr     bool
-	started   time.Time
-	shape     string
-	planHit   bool
-	planWall  time.Duration
-	planAlloc obs.AllocStat
 	mark      obs.AllocStat
 	lastStamp time.Time
-
-	fanoutWall  time.Duration
-	fanoutAlloc obs.AllocStat
-	mergeWall   time.Duration
-	mergeAlloc  obs.AllocStat
-	devDur      []time.Duration
-	stages      []obs.StageSample
+	stages    []obs.StageSample
+	devs      []obs.DeviceRecord
+	rec       obs.QueryRecord
 }
 
 // settled reports whether every device task has finished. Observing the
 // closed done channel is the happens-before edge that makes the
-// per-device slices (answers, errs, devDur) safe to read; an abandoned
-// call (waiter cancelled, stragglers still writing) is not settled and
-// its per-device state must not be touched.
+// per-device slices (answers, errs, devs) safe to read; an abandoned
+// call (waiter cancelled, stragglers still writing) or one that never
+// launched is not settled and its per-device state must not be touched.
 func (c *call) settled() bool {
 	select {
 	case <-c.done:
@@ -390,76 +361,64 @@ func (c *call) settled() bool {
 	}
 }
 
-// stampFanout closes the fanout stage (fan-out start → last device
-// answer); no-op on uninstrumented calls.
-func (c *call) stampFanout() {
+// stamp closes one stage: wall time and alloc delta — heap and
+// pool-recycled traffic both — since the previous boundary. No-op on
+// uninstrumented calls.
+func (c *call) stamp(stage string) {
 	if !c.instr {
 		return
 	}
 	now := time.Now()
-	c.fanoutWall = now.Sub(c.t0)
 	a := obs.ReadAllocs()
-	c.fanoutAlloc = a.Sub(c.mark)
-	c.mark = a
-	c.lastStamp = now
+	d := a.Sub(c.mark)
+	c.stages = append(c.stages, obs.StageSample{
+		Stage: stage, Wall: now.Sub(c.lastStamp),
+		Bytes: d.Bytes, Objects: d.Objects,
+		RecycledBytes: d.RecycledBytes, RecycledSlabs: d.RecycledSlabs,
+	})
+	c.mark, c.lastStamp = a, now
 }
 
-// stampMerge closes the merge stage (answer consolidation, including
-// failure triage and degraded merges); no-op on uninstrumented calls.
-func (c *call) stampMerge() {
-	if !c.instr {
-		return
+// start opens one retrieval: it lowers and plans pm and closes the plan
+// stage. The call comes back even when planning failed, so finish still
+// counts the failure.
+func (e *Executor) start(pm mkhash.PartialMatch, caller string) (*call, error) {
+	c := &call{started: time.Now(), pm: pm, caller: caller, instr: len(e.sinks) > 0}
+	if c.instr {
+		c.lastStamp = c.started
+		c.mark = obs.ReadAllocs()
+		c.stages = make([]obs.StageSample, 0, 5)
 	}
-	now := time.Now()
-	c.mergeWall = now.Sub(c.lastStamp)
-	a := obs.ReadAllocs()
-	c.mergeAlloc = a.Sub(c.mark)
-	c.mark = a
-	c.lastStamp = now
+	q, err := e.lower(pm)
+	if err != nil {
+		return c, err
+	}
+	plan, hit, err := e.planFor(q)
+	if err != nil {
+		return c, err
+	}
+	c.q, c.plan, c.planHit = q, plan, hit
+	c.stamp(obs.StagePlan)
+	return c, nil
 }
 
-// callInstr carries the plan-stage measurements from the retrieval
-// entry point into launch when cost attribution is on.
-type callInstr struct {
-	started   time.Time
-	planHit   bool
-	planWall  time.Duration
-	planAlloc obs.AllocStat
-	mark      obs.AllocStat
-}
-
-// launch starts the fan-out for one planned query and returns without
+// launch starts the fan-out for a planned call and returns without
 // waiting: every device's scan is queued on the shared pool. The plan's
-// |R(q)| feeds the audit; its tuple groups (when compiled) travel to
-// the devices via the context. ci, when non-nil, turns on per-stage
-// cost attribution for this call.
-func (e *Executor) launch(ctx context.Context, q query.Query, plan *plancache.Plan, pm mkhash.PartialMatch, caller string, ci *callInstr) *call {
+// tuple groups (when compiled) travel to the devices via the context.
+func (e *Executor) launch(ctx context.Context, c *call) {
 	m := len(e.devs)
-	c := &call{
-		t0:      time.Now(),
-		q:       q,
-		caller:  caller,
-		rq:      plan.RQ,
-		answers: e.answersP().Get(m),
-		errs:    e.errsP().Get(m),
-		done:    make(chan struct{}),
-	}
-	if ci != nil {
-		c.instr = true
-		c.started = ci.started
-		c.shape = q.Shape()
-		c.planHit = ci.planHit
-		c.planWall = ci.planWall
-		c.planAlloc = ci.planAlloc
-		c.mark = ci.mark
-		c.devDur = e.dursP().Get(m)
+	c.answers = e.answersP().Get(m)
+	c.errs = e.errsP().Get(m)
+	c.done = make(chan struct{})
+	if c.instr {
+		c.devs = make([]obs.DeviceRecord, m)
 	}
 	if e.tracer != nil && e.span != "" {
 		c.span = e.tracer.Start(e.span)
 	}
 	c.pending.Store(int64(m))
 	ctx = ContextWithSpan(ctx, c.span)
-	ctx = ContextWithPlan(ctx, plan)
+	ctx = ContextWithPlan(ctx, c.plan)
 	for dev := 0; dev < m; dev++ {
 		dev := dev
 		e.pool.submit(func() {
@@ -474,14 +433,13 @@ func (e *Executor) launch(ctx context.Context, q query.Query, plan *plancache.Pl
 			}
 			if c.instr {
 				start := time.Now()
-				c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, q, pm)
-				c.devDur[dev] = time.Since(start)
+				c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
+				c.devs[dev].Scan = time.Since(start)
 				return
 			}
-			c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, q, pm)
+			c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
 		})
 	}
-	return c
 }
 
 // wait blocks until every device task finished or ctx is cancelled, then
@@ -492,11 +450,13 @@ func (e *Executor) wait(ctx context.Context, c *call) (Result, error) {
 	select {
 	case <-c.done:
 	case <-ctx.Done():
+		c.stamp(obs.StageFanout)
+		c.stamp(obs.StageMerge)
 		return Result{}, ctx.Err()
 	}
-	c.stampFanout()
+	c.stamp(obs.StageFanout)
 	res, err := e.consolidate(ctx, c)
-	c.stampMerge()
+	c.stamp(obs.StageMerge)
 	return res, err
 }
 
@@ -621,8 +581,8 @@ func (e *Executor) degrade(c *call) (Result, error) {
 		covered += b
 	}
 	coverage := 1.0
-	if c.rq > 0 {
-		coverage = float64(covered) / float64(c.rq)
+	if rq := c.plan.RQ; rq > 0 {
+		coverage = float64(covered) / float64(rq)
 		if coverage > 1 {
 			coverage = 1
 		}
@@ -637,212 +597,83 @@ func (e *Executor) degrade(c *call) (Result, error) {
 	return res, perr
 }
 
-// finish closes the call's span, audits the retrieval against the
-// strict-optimality bound, reports it to the observer, and — when cost
-// attribution is on — records the stage breakdown with the profiler and
-// flight recorder.
-func (e *Executor) finish(c *call, res Result, err error) {
+// finish closes the call's span and folds the retrieval's record into
+// every sink.
+func (e *Executor) finish(c *call, err error) {
 	if c.span != nil {
 		if err != nil {
 			c.span.Event("error: " + err.Error())
 		}
 		c.span.End()
 	}
-	elapsed := time.Since(c.t0)
-	if c.instr && c.lastStamp.IsZero() {
-		// Cancelled before the fan-out completed: open the audit stage
-		// here so record still sees consistent marks.
-		c.lastStamp = time.Now()
-	}
-	if e.audit != nil {
-		if err != nil {
-			e.audit.RetrievalDone(c.q, c.rq, nil, elapsed)
-		} else {
-			e.audit.RetrievalDone(c.q, c.rq, res.DeviceBuckets, elapsed)
-		}
-	}
-	if e.obs != nil {
-		if err != nil {
-			e.obs.RetrieveError()
-			e.obs.RetrieveDone(elapsed, nil)
-		} else {
-			e.obs.RetrieveDone(elapsed, res.DeviceBuckets)
-		}
-	}
-	// An abandoned call's stragglers may still be writing the per-device
-	// slices; record and emit only read them once the call settled.
-	settled := c.settled()
-	if c.instr {
-		e.record(c, err, settled)
-	}
-	if e.events != nil {
-		e.emit(c, res, err, settled)
-	}
-}
-
-// emit offers the retrieval's wide event to the query log and mirrors
-// the keep decision into tail-based trace retention: an always-keep
-// event (error / SLO-slow / bound-violating) retains the query's full
-// trace tree; everything else goes through the uniform sampler. When
-// the trace is retained, the latency histogram gets an exemplar
-// pointing at it (via the optional ExemplarObserver), closing the loop
-// bucket → trace ID → kept tree.
-func (e *Executor) emit(c *call, res Result, err error, settled bool) {
-	m := len(c.answers)
-	bound := 0
-	if m > 0 {
-		bound = (c.rq + m - 1) / m
-	}
-	elapsed := time.Since(c.t0)
-	start := c.t0
-	if c.instr {
-		elapsed = time.Since(c.started)
-		start = c.started
-	}
-	ev := telemetry.Event{
-		Time:         start,
-		Shape:        c.q.Shape(),
-		Tenant:       c.caller,
-		TraceID:      c.span.Trace(),
-		Elapsed:      elapsed,
-		PlanCacheHit: c.planHit,
-		RQ:           c.rq,
-		Bound:        bound,
-		Stages:       c.stages,
-	}
-	if settled {
-		ev.Devices = make([]telemetry.DeviceSample, m)
-		for dev := 0; dev < m; dev++ {
-			ds := telemetry.DeviceSample{Device: dev, Buckets: c.answers[dev].Buckets}
-			if c.devDur != nil {
-				ds.Scan = c.devDur[dev]
-			}
-			if c.errs[dev] != nil {
-				ds.Err = c.errs[dev].Error()
-			}
-			ev.Devices[dev] = ds
-			if ds.Buckets > ev.MaxDeviceBuckets {
-				ev.MaxDeviceBuckets = ds.Buckets
-			}
-		}
-	}
-	// The audited bucket counts are the merged result's (a degraded
-	// merge zeroes failed devices); the violation check uses those.
-	for _, b := range res.DeviceBuckets {
-		if bound > 0 && b > bound {
-			ev.BoundViolation = true
-		}
-	}
-	if err != nil {
-		ev.Err = err.Error()
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			ev.Partial = true
-			ev.Coverage = pe.Coverage
-			for dev := range pe.Failed {
-				ev.FailedDevices = append(ev.FailedDevices, dev)
-			}
-			sort.Ints(ev.FailedDevices)
-		}
-	}
-	dec := e.events.Offer(ev)
-	tid := c.span.Trace()
-	if tid == 0 || e.tracer == nil {
+	if !c.instr {
 		return
 	}
-	retained := false
-	if dec.Always {
-		reason := obs.KeepError
-		for _, r := range dec.Reasons {
-			if r == obs.KeepError || r == obs.KeepSlow || r == obs.KeepBound {
-				reason = r
-				break
-			}
-		}
-		retained = e.tracer.Retain(tid, reason)
-	} else {
-		retained = e.tracer.MaybeSample(tid)
-	}
-	if retained {
-		if eo, ok := e.obs.(ExemplarObserver); ok {
-			eo.RetrieveExemplar(elapsed, tid)
-		}
+	rec := c.record(err)
+	for _, s := range e.sinks {
+		s.Fold(rec)
 	}
 }
 
-// stageSample folds one stage's wall time and alloc delta — heap and
-// pool-recycled traffic both — into a profiler sample.
-func stageSample(stage string, wall time.Duration, a obs.AllocStat) obs.StageSample {
-	return obs.StageSample{
-		Stage: stage, Wall: wall,
-		Bytes: a.Bytes, Objects: a.Objects,
-		RecycledBytes: a.RecycledBytes, RecycledSlabs: a.RecycledSlabs,
-	}
-}
-
-// record closes the audit stage, hands the completed stage breakdown to
-// the profiler, and offers the query to the flight recorder.
-func (e *Executor) record(c *call, err error, settled bool) {
-	now := time.Now()
-	auditWall := now.Sub(c.lastStamp)
-	a := obs.ReadAllocs()
-	auditAlloc := a.Sub(c.mark)
-	total := now.Sub(c.started)
-	var devSum time.Duration
-	if settled {
-		for _, d := range c.devDur {
-			devSum += d
-		}
-	}
-	c.stages = []obs.StageSample{
-		stageSample(obs.StagePlan, c.planWall, c.planAlloc),
-		stageSample(obs.StageFanout, c.fanoutWall, c.fanoutAlloc),
-		stageSample(obs.StageMerge, c.mergeWall, c.mergeAlloc),
-		stageSample(obs.StageAudit, auditWall, auditAlloc),
-		{Stage: obs.StageDeviceScan, Wall: devSum},
-	}
-	e.prof.ObserveQuery(c.shape, total, c.stages)
-	if !e.flight.Admits(c.shape, total) {
-		return
-	}
-	m := len(c.answers)
-	bound := 0
-	if m > 0 {
-		bound = (c.rq + m - 1) / m
-	}
-	rec := obs.FlightRecord{
-		Shape:        c.shape,
-		TraceID:      c.span.Trace(),
-		Start:        c.started,
-		Elapsed:      total,
-		PlanCacheHit: c.planHit,
-		RQ:           c.rq,
-		Bound:        bound,
-		Stages:       c.stages,
-		Events:       c.span.Snapshot().Events,
-	}
+// record builds the retrieval's one QueryRecord. It closes the audit
+// stage, takes shape, |R(q)| and the strict bound from the plan — which
+// computed them once per shape — and renders the bound verdict from the
+// per-device answers. A device that failed is credited no buckets, as
+// in the merge. A retrieval that failed before planning carries no
+// shape, so only the latency and error folds count it; an abandoned
+// call's per-device slices are left alone (stragglers may still be
+// writing them).
+func (c *call) record(err error) *obs.QueryRecord {
+	rec := &c.rec
+	rec.Time, rec.Tenant = c.started, c.caller
 	if err != nil {
 		rec.Err = err.Error()
-	}
-	if settled {
-		rec.Devices = make([]obs.FlightDevice, m)
-		for dev := 0; dev < m; dev++ {
-			fd := obs.FlightDevice{Device: dev, Buckets: c.answers[dev].Buckets, Scan: c.devDur[dev]}
-			if c.errs[dev] != nil {
-				fd.Err = c.errs[dev].Error()
+		var pe *PartialError
+		if errors.As(err, &pe) {
+			rec.Partial = true
+			rec.Coverage = pe.Coverage
+			for dev := range pe.Failed {
+				rec.FailedDevices = append(rec.FailedDevices, dev)
 			}
-			rec.Devices[dev] = fd
+			sort.Ints(rec.FailedDevices)
 		}
 	}
-	e.flight.Note(rec)
+	if c.plan == nil {
+		rec.Elapsed = time.Since(c.started)
+		return rec
+	}
+	c.stamp(obs.StageAudit)
+	rec.Elapsed = c.lastStamp.Sub(c.started)
+	rec.Shape, rec.RQ, rec.Bound, rec.PlanCacheHit = c.plan.Shape, c.plan.RQ, c.plan.Bound, c.planHit
+	rec.TraceID = c.span.Trace()
+	rec.Events = c.span.Snapshot().Events
+	var scan time.Duration
+	if c.settled() {
+		for dev := range c.devs {
+			d := &c.devs[dev]
+			d.Device = dev
+			if err := c.errs[dev]; err != nil {
+				d.Err = err.Error()
+			} else {
+				d.Buckets = c.answers[dev].Buckets
+			}
+			rec.MaxDeviceBuckets = max(rec.MaxDeviceBuckets, d.Buckets)
+			scan += d.Scan
+		}
+		rec.Devices = c.devs
+	}
+	rec.BoundViolation = rec.Bound > 0 && rec.MaxDeviceBuckets > rec.Bound
+	c.stages = append(c.stages, obs.StageSample{Stage: obs.StageDeviceScan, Wall: scan})
+	rec.Stages = c.stages
+	return rec
 }
 
-// seal stamps the call's trace ID onto the result and, on failure, wraps
-// the error so log lines carry the trace ID.
+// seal stamps the call's trace ID and stage breakdown onto the result
+// and, on failure, wraps the error so log lines carry the trace ID.
 func (c *call) seal(res Result, err error) (Result, error) {
 	tid := c.span.Trace()
 	res.TraceID = tid
-	res.Stages = c.stages
+	res.Stages = c.rec.Stages
 	if err != nil {
 		if pe, ok := err.(*PartialError); ok {
 			pe.Res.TraceID = tid
@@ -857,62 +688,29 @@ func (c *call) seal(res Result, err error) (Result, error) {
 // recycle returns the call's fan-out scratch to the pools — but only
 // when every device task has finished. An abandoned call (the waiter
 // gave up on context cancellation) may still have straggler tasks
-// writing into answers/errs/devDur; its scratch is left to the garbage
+// writing into answers/errs; its scratch is left to the garbage
 // collector, which is safe, just unrecycled.
 func (e *Executor) recycle(c *call) {
-	select {
-	case <-c.done:
-	default:
+	if !c.settled() {
 		return
 	}
 	e.answersP().Put(c.answers)
 	c.answers = nil
 	e.errsP().Put(c.errs)
 	c.errs = nil
-	e.dursP().Put(c.devDur)
-	c.devDur = nil
-}
-
-// planFailed reports a retrieval that died before fan-out.
-func (e *Executor) planFailed(t0 time.Time) {
-	if e.obs == nil {
-		return
-	}
-	e.obs.RetrieveError()
-	e.obs.RetrieveDone(time.Since(t0), nil)
 }
 
 // Retrieve answers one value-level partial match query: validate once,
 // fan out every device's inverse-mapped scan on the bounded pool, merge
 // under the cost model. Cancelling ctx returns promptly with its error.
 func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result, error) {
-	if e.obs != nil {
-		e.obs.RetrieveStarted()
+	c, err := e.start(pm, CallerFromContext(ctx))
+	var res Result
+	if err == nil {
+		e.launch(ctx, c)
+		res, err = e.wait(ctx, c)
 	}
-	instr := e.prof != nil || e.flight != nil || e.events != nil
-	t0 := time.Now()
-	var a0 obs.AllocStat
-	if instr {
-		a0 = obs.ReadAllocs()
-	}
-	q, err := e.lower(pm)
-	if err != nil {
-		e.planFailed(t0)
-		return Result{}, err
-	}
-	plan, hit, err := e.planFor(q)
-	if err != nil {
-		e.planFailed(t0)
-		return Result{}, err
-	}
-	var ci *callInstr
-	if instr {
-		a1 := obs.ReadAllocs()
-		ci = &callInstr{started: t0, planHit: hit, planWall: time.Since(t0), planAlloc: a1.Sub(a0), mark: a1}
-	}
-	c := e.launch(ctx, q, plan, pm, CallerFromContext(ctx), ci)
-	res, err := e.wait(ctx, c)
-	e.finish(c, res, err)
+	e.finish(c, err)
 	res, err = c.seal(res, err)
 	e.recycle(c)
 	return res, err
@@ -921,11 +719,11 @@ func (e *Executor) Retrieve(ctx context.Context, pm mkhash.PartialMatch) (Result
 // RetrieveBatch answers a batch of queries over the shared worker pool:
 // every query's fan-out is launched up front, so devices pipeline across
 // queries instead of idling at per-query barriers. Each query gets its
-// own trace span and metrics events. Queries sharing a shape are
-// deduped through the plan cache: the first occurrence compiles, the
-// rest reuse its plan. The returned slice always has one Result per
-// query; queries that failed have a zero Result and contribute a
-// "query %d" error to the joined error.
+// own trace span and record. Queries sharing a shape are deduped
+// through the plan cache: the first occurrence compiles, the rest reuse
+// its plan. The returned slice always has one Result per query; queries
+// that failed have a zero Result and contribute a "query %d" error to
+// the joined error.
 func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch) ([]Result, error) {
 	results := make([]Result, len(pms))
 	// Batch-internal scratch recycles across calls: the per-query error
@@ -933,47 +731,28 @@ func (e *Executor) RetrieveBatch(ctx context.Context, pms []mkhash.PartialMatch)
 	// query's fan-out scratch goes back before the next one completes.
 	errs := e.errsP().Get(len(pms))
 	calls := e.callsP().Get(len(pms))
-	instr := e.prof != nil || e.flight != nil || e.events != nil
 	callers := CallersFromContext(ctx)
 	defCaller := CallerFromContext(ctx)
 	for i, pm := range pms {
-		if e.obs != nil {
-			e.obs.RetrieveStarted()
-		}
-		t0 := time.Now()
-		var a0 obs.AllocStat
-		if instr {
-			a0 = obs.ReadAllocs()
-		}
-		q, err := e.lower(pm)
-		if err != nil {
-			errs[i] = err
-			e.planFailed(t0)
-			continue
-		}
-		plan, hit, err := e.planFor(q)
-		if err != nil {
-			errs[i] = err
-			e.planFailed(t0)
-			continue
-		}
-		var ci *callInstr
-		if instr {
-			a1 := obs.ReadAllocs()
-			ci = &callInstr{started: t0, planHit: hit, planWall: time.Since(t0), planAlloc: a1.Sub(a0), mark: a1}
-		}
 		caller := defCaller
 		if i < len(callers) {
 			caller = callers[i]
 		}
-		calls[i] = e.launch(ctx, q, plan, pm, caller, ci)
+		c, err := e.start(pm, caller)
+		if err != nil {
+			errs[i] = err
+			e.finish(c, err)
+			continue
+		}
+		e.launch(ctx, c)
+		calls[i] = c
 	}
 	for i, c := range calls {
 		if c == nil {
 			continue
 		}
 		res, err := e.wait(ctx, c)
-		e.finish(c, res, err)
+		e.finish(c, err)
 		results[i], errs[i] = c.seal(res, err)
 		e.recycle(c)
 	}

@@ -12,7 +12,7 @@ import (
 // BenchmarkRetrieveInstrumentation isolates the cost-attribution
 // overhead: the identical executor and workload, with and without a
 // profiler+flight recorder attached (instrumentation is skipped
-// entirely when both are nil). The devices answer instantly, so the
+// entirely when the executor has no sinks). The devices answer instantly, so the
 // measured delta is the absolute per-query instrumentation cost — an
 // upper bound on its relative overhead for any real retrieval.
 func BenchmarkRetrieveInstrumentation(b *testing.B) {
@@ -28,8 +28,7 @@ func BenchmarkRetrieveInstrumentation(b *testing.B) {
 			}
 			cfg := engine.Config{Schema: f, Devices: devs, Model: engine.MainMemory}
 			if mode.instr {
-				cfg.Profile = obs.NewCostProfiler("bench")
-				cfg.Flight = obs.NewFlightRecorder("bench", obs.DefaultFlightSlots)
+				cfg.Sinks = []engine.Sink{obs.NewCostProfiler("bench"), obs.NewFlightRecorder("bench", obs.DefaultFlightSlots)}
 			}
 			e, err := engine.New(cfg)
 			if err != nil {

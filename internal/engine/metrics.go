@@ -2,16 +2,17 @@ package engine
 
 import (
 	"strconv"
-	"time"
 
+	"fxdist/internal/audit"
 	"fxdist/internal/obs"
+	"fxdist/internal/telemetry"
 )
 
-// ClusterMetrics is the standard Observer for storage-style clusters,
-// cached at construction. The cluster label separates the in-memory,
-// durable (disk-backed) and replicated (failure-injecting) retrieval
-// paths; metric names keep the fxdist_storage prefix the dashboards
-// already scrape.
+// ClusterMetrics is the standard metrics sink for storage-style
+// clusters, cached at construction. The cluster label separates the
+// in-memory, durable (disk-backed) and replicated (failure-injecting)
+// retrieval paths; metric names keep the fxdist_storage prefix the
+// dashboards already scrape.
 //
 // The per-device counters accumulate qualified-bucket accesses over the
 // cluster's whole lifetime; imbalance is their max/mean ratio — the
@@ -49,29 +50,23 @@ func NewClusterMetrics(cluster string, m int) *ClusterMetrics {
 	return cm
 }
 
-// RetrieveStarted implements Observer.
-func (cm *ClusterMetrics) RetrieveStarted() { cm.retrieves.Inc() }
-
-// RetrieveExemplar implements ExemplarObserver: a tail-sampled query
-// links its latency bucket to the retained trace.
-func (cm *ClusterMetrics) RetrieveExemplar(elapsed time.Duration, traceID uint64) {
-	cm.latency.SetExemplar(elapsed.Seconds(), traceID)
-}
-
-// RetrieveError implements Observer.
-func (cm *ClusterMetrics) RetrieveError() { cm.errors.Inc() }
-
-// RetrieveDone implements Observer: it records the latency and, on
-// success, folds the per-device bucket counts into the cumulative
-// counters and refreshes the live imbalance gauge.
-func (cm *ClusterMetrics) RetrieveDone(elapsed time.Duration, deviceBuckets []int) {
-	cm.latency.Observe(elapsed.Seconds())
-	if deviceBuckets == nil {
+// Fold is the metrics' retrieval sink: it counts the retrieval and its
+// failure, records its latency (with an exemplar when trace retention
+// kept its tree) and, on success, folds the per-device bucket counts
+// into the cumulative counters and refreshes the live imbalance gauge.
+func (cm *ClusterMetrics) Fold(rec *obs.QueryRecord) {
+	cm.retrieves.Inc()
+	cm.latency.Observe(rec.Elapsed.Seconds())
+	if rec.Retained {
+		cm.latency.SetExemplar(rec.Elapsed.Seconds(), rec.TraceID)
+	}
+	if rec.Err != "" {
+		cm.errors.Inc()
 		return
 	}
-	for dev, b := range deviceBuckets {
-		if b > 0 {
-			cm.deviceBuckets[dev].Add(uint64(b))
+	for _, d := range rec.Devices {
+		if d.Buckets > 0 {
+			cm.deviceBuckets[d.Device].Add(uint64(d.Buckets))
 		}
 	}
 	var sum, max uint64
@@ -87,4 +82,21 @@ func (cm *ClusterMetrics) RetrieveDone(elapsed time.Duration, deviceBuckets []in
 	}
 	mean := float64(sum) / float64(len(cm.deviceBuckets))
 	cm.imbalance.Set(float64(max) / mean)
+}
+
+// Sinks returns the standard fold list for one backend, in the order
+// the folds depend on: the strict-optimality audit, the cost profiler,
+// the wide-event log (its keep decision lands in the record), trace
+// retention on tracer (driven by that decision), the flight recorder,
+// and the backend's latency metrics (whose exemplar points at the
+// retained trace).
+func Sinks(backend string, tracer *obs.Tracer, metrics Sink) []Sink {
+	return []Sink{
+		audit.For(backend),
+		obs.CostProfilerFor(backend),
+		telemetry.LogFor(backend),
+		tracer,
+		obs.FlightRecorderFor(backend),
+		metrics,
+	}
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
 )
@@ -19,7 +17,6 @@ var (
 	recsPool    = mempool.NewSlicePool[mkhash.Record]("engine.records")
 	answersPool = mempool.NewSlicePool[Answer]("engine.answers")
 	errsPool    = mempool.NewSlicePool[error]("engine.errs")
-	dursPool    = mempool.NewSlicePool[time.Duration]("engine.durs")
 	callsPool   = mempool.NewSlicePool[*call]("engine.calls")
 )
 
@@ -54,13 +51,6 @@ func (e *Executor) errsP() *mempool.SlicePool[error] {
 		return nil
 	}
 	return errsPool
-}
-
-func (e *Executor) dursP() *mempool.SlicePool[time.Duration] {
-	if e.noPool {
-		return nil
-	}
-	return dursPool
 }
 
 func (e *Executor) callsP() *mempool.SlicePool[*call] {

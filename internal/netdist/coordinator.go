@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
 	"fxdist/internal/mkhash"
@@ -223,8 +222,8 @@ func (dc *deviceConn) dead() error {
 
 // WireStages breaks one round trip into the coordinator-side wire
 // stages: Dispatch (request encode + write; OutBytes on the wire),
-// Wait (write done → first response byte), Decode (first byte → gob
-// decode done; InBytes on the wire).
+// Wait (write done → first response byte), Decode (first byte →
+// response decode done, in the negotiated codec; InBytes on the wire).
 type WireStages struct {
 	Dispatch time.Duration
 	OutBytes uint64
@@ -457,14 +456,10 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	eng, err := engine.New(engine.Config{
 		Schema:       file,
 		Devices:      devices,
-		Observer:     coordObserver{},
 		Tracer:       c.tracer,
 		Span:         "netdist.retrieve",
-		Audit:        audit.For(c.backend),
 		Plans:        plancache.New(c.backend),
-		Profile:      c.prof,
-		Flight:       obs.FlightRecorderFor(c.backend),
-		Events:       telemetry.LogFor(c.backend),
+		Sinks:        engine.Sinks(c.backend, c.tracer, coordMetrics{}),
 		NoPool:       c.noPool,
 		ArenaResults: c.arena,
 	})
@@ -694,24 +689,25 @@ func (c *Coordinator) probeTimeout() time.Duration {
 	return 2 * time.Second
 }
 
-// coordObserver maps the engine's retrieval events onto the coordinator's
-// whole-query instruments.
-type coordObserver struct{}
+// coordMetrics folds each retrieval's record into the coordinator's
+// whole-query instruments; the latency exemplar points at the trace
+// retention kept.
+type coordMetrics struct{}
 
-func (coordObserver) RetrieveStarted() { mCoordRetrieves.Inc() }
-func (coordObserver) RetrieveError()   { mCoordRetrieveErrors.Inc() }
-func (coordObserver) RetrieveDone(elapsed time.Duration, _ []int) {
-	mCoordRetrieveLatency.Observe(elapsed.Seconds())
-}
-
-// RetrieveExemplar implements engine.ExemplarObserver: a tail-sampled
-// retrieval links its latency bucket to the retained trace.
-func (coordObserver) RetrieveExemplar(elapsed time.Duration, traceID uint64) {
-	mCoordRetrieveLatency.SetExemplar(elapsed.Seconds(), traceID)
+func (coordMetrics) Fold(rec *obs.QueryRecord) {
+	mCoordRetrieves.Inc()
+	if rec.Err != "" {
+		mCoordRetrieveErrors.Inc()
+	}
+	mCoordRetrieveLatency.Observe(rec.Elapsed.Seconds())
+	if rec.Retained {
+		mCoordRetrieveLatency.SetExemplar(rec.Elapsed.Seconds(), rec.TraceID)
+	}
 }
 
 // remoteDevice adapts one device server connection to the engine's Device
-// contract: the bucket query travels as a gob Request and the server does
+// contract: the bucket query travels as a Request in the negotiated codec
+// (binary; gob only against servers that predate it) and the server does
 // its own inverse mapping and value re-check. as >= 0 impersonates a dead
 // device against the server holding its backup partition (failover).
 type remoteDevice struct {

@@ -27,7 +27,8 @@ const (
 	StageFanout = "fanout"
 	// StageMerge is answer consolidation under the §5.2.1 cost model.
 	StageMerge = "merge"
-	// StageAudit is the optimality audit + observer notification tail.
+	// StageAudit is the retrieval's tail: closing its span and building
+	// its record, bound verdict included.
 	StageAudit = "audit"
 )
 
@@ -44,8 +45,8 @@ const (
 	StageNetDispatch = "net.dispatch"
 	// StageNetWait is dispatch-done → first response byte.
 	StageNetWait = "net.wait"
-	// StageNetDecode is gob decode of the response; Bytes counts wire
-	// bytes in.
+	// StageNetDecode is decode of the response; Bytes counts wire bytes
+	// in.
 	StageNetDecode = "net.decode"
 )
 
@@ -133,6 +134,15 @@ func (sc *shapeCosts) add(samples []StageSample) {
 		acc.objects += s.Objects
 		acc.recBytes += s.RecycledBytes
 		acc.recSlabs += s.RecycledSlabs
+	}
+}
+
+// Fold is the profiler's retrieval sink: the record's latency and stage
+// breakdown, aggregated under its shape. Records without a shape (the
+// query failed before planning) carry no stages and are skipped.
+func (p *CostProfiler) Fold(rec *QueryRecord) {
+	if rec.Shape != "" {
+		p.ObserveQuery(rec.Shape, rec.Elapsed, rec.Stages)
 	}
 }
 

@@ -84,7 +84,7 @@ func TestCostProfilerNil(t *testing.T) {
 func TestFlightRecorderKeepsSlowest(t *testing.T) {
 	f := NewFlightRecorder("test", 3)
 	for _, ms := range []int{5, 1, 9, 3, 7, 2, 8} {
-		f.Note(FlightRecord{Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond})
+		f.Note(QueryRecord{Shape: "s*", Elapsed: time.Duration(ms) * time.Millisecond})
 	}
 	rep := f.Report()
 	if len(rep.Shapes) != 1 {
@@ -108,11 +108,11 @@ func TestFlightRecorderAdmits(t *testing.T) {
 	if !f.Admits("new-shape", time.Nanosecond) {
 		t.Fatal("unseen shape must admit everything")
 	}
-	f.Note(FlightRecord{Shape: "s", Elapsed: 10 * time.Millisecond})
+	f.Note(QueryRecord{Shape: "s", Elapsed: 10 * time.Millisecond})
 	if !f.Admits("s", time.Nanosecond) {
 		t.Fatal("ring not full yet: must still admit")
 	}
-	f.Note(FlightRecord{Shape: "s", Elapsed: 20 * time.Millisecond})
+	f.Note(QueryRecord{Shape: "s", Elapsed: 20 * time.Millisecond})
 	// Ring full: floor is the fastest retained record (10ms).
 	if f.Admits("s", 5*time.Millisecond) {
 		t.Error("admitted a query below the floor")
@@ -125,7 +125,7 @@ func TestFlightRecorderAdmits(t *testing.T) {
 		t.Error("full ring on one shape starved a new shape")
 	}
 	// Note below the floor is a no-op even if forced past Admits.
-	f.Note(FlightRecord{Shape: "s", Elapsed: time.Millisecond})
+	f.Note(QueryRecord{Shape: "s", Elapsed: time.Millisecond})
 	if got := f.Report().Shapes[0].Records; len(got) != 2 || got[1].Elapsed != 10*time.Millisecond {
 		t.Errorf("below-floor Note changed the ring: %+v", got)
 	}
@@ -142,7 +142,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				el := time.Duration(i*(g+1)) * time.Microsecond
 				if f.Admits(shape, el) {
-					f.Note(FlightRecord{Shape: shape, Elapsed: el})
+					f.Note(QueryRecord{Shape: shape, Elapsed: el})
 				}
 				if i%50 == 0 {
 					f.Report()

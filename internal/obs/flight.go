@@ -14,48 +14,17 @@ import (
 // diagnose it after the fact — stage breakdown, span events
 // (retry/hedge/breaker decisions land there), plan-cache hit/miss, and
 // per-device bucket counts against the paper's strict bound
-// ceil(|R(q)|/M). Served on /debug/flight and dumpable via
-// pmquery -flight.
+// ceil(|R(q)|/M). Each entry is the query's QueryRecord, the same
+// record the wide-event log samples. Served on /debug/flight and
+// dumpable via pmquery -flight.
 
 // DefaultFlightSlots is how many worst queries each shape retains.
 const DefaultFlightSlots = 8
 
-// FlightDevice is one device's share of a recorded query.
-type FlightDevice struct {
-	Device  int           `json:"device"`
-	Buckets int           `json:"buckets"`
-	Scan    time.Duration `json:"scan_ns"`
-	Err     string        `json:"err,omitempty"`
-}
-
-// FlightRecord is one retained slow query.
-type FlightRecord struct {
-	Backend string    `json:"backend"`
-	Shape   string    `json:"shape"`
-	TraceID uint64    `json:"trace_id,omitempty"`
-	Start   time.Time `json:"start"`
-	// Elapsed is the whole-query latency (the ranking key).
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// PlanCacheHit reports whether the plan came from the cache.
-	PlanCacheHit bool `json:"plan_cache_hit"`
-	// RQ is |R(q)| (total buckets touched); Bound is ceil(|R(q)|/M).
-	RQ    int `json:"rq"`
-	Bound int `json:"bound"`
-	// Stages is the query's stage breakdown.
-	Stages []StageSample `json:"stages,omitempty"`
-	// Devices details each device's bucket count vs the bound and scan
-	// duration — the slowest entry is the query's critical path.
-	Devices []FlightDevice `json:"devices,omitempty"`
-	// Events is the root span's annotation log (cache hit/miss, retry,
-	// hedge and breaker decisions, degraded merges).
-	Events []SpanEvent `json:"events,omitempty"`
-	Err    string      `json:"err,omitempty"`
-}
-
 // flightShape is one shape's ring, sorted ascending by Elapsed so the
 // eviction candidate is always index 0.
 type flightShape struct {
-	records []FlightRecord
+	records []QueryRecord
 }
 
 // FlightRecorder retains the K slowest queries per shape for one
@@ -83,8 +52,8 @@ func NewFlightRecorder(backend string, slots int) *FlightRecorder {
 
 // Admits reports whether a query of the given latency could enter the
 // shape's ring — a cheap, lock-free pre-check so the fast path skips
-// building FlightRecords that would be discarded. A true result is
-// advisory; Note re-checks under the lock.
+// copying records that would be discarded. A true result is advisory;
+// Note re-checks under the lock.
 func (f *FlightRecorder) Admits(shape string, elapsed time.Duration) bool {
 	if f == nil {
 		return false
@@ -96,9 +65,18 @@ func (f *FlightRecorder) Admits(shape string, elapsed time.Duration) bool {
 	return int64(elapsed) > v.(*atomic.Int64).Load()
 }
 
+// Fold is the recorder's retrieval sink: it offers rec when it could
+// rank among its shape's K slowest. Records without a shape (the query
+// failed before planning) have no ring to enter.
+func (f *FlightRecorder) Fold(rec *QueryRecord) {
+	if rec.Shape != "" && f.Admits(rec.Shape, rec.Elapsed) {
+		f.Note(*rec)
+	}
+}
+
 // Note offers a record; it is kept iff it ranks among the shape's K
 // slowest.
-func (f *FlightRecorder) Note(rec FlightRecord) {
+func (f *FlightRecorder) Note(rec QueryRecord) {
 	if f == nil {
 		return
 	}
@@ -118,7 +96,7 @@ func (f *FlightRecorder) Note(rec FlightRecord) {
 	}
 	// Insert keeping ascending Elapsed order.
 	i := sort.Search(len(fs.records), func(i int) bool { return fs.records[i].Elapsed > rec.Elapsed })
-	fs.records = append(fs.records, FlightRecord{})
+	fs.records = append(fs.records, QueryRecord{})
 	copy(fs.records[i+1:], fs.records[i:])
 	fs.records[i] = rec
 	// Once the ring is full, a query must beat its fastest retained
@@ -145,8 +123,8 @@ func (f *FlightRecorder) Reset() {
 
 // ShapeFlights is one shape's retained records, slowest first.
 type ShapeFlights struct {
-	Shape   string         `json:"shape"`
-	Records []FlightRecord `json:"records"`
+	Shape   string        `json:"shape"`
+	Records []QueryRecord `json:"records"`
 }
 
 // BackendFlights is every shape one backend has recorded.
@@ -165,7 +143,7 @@ func (f *FlightRecorder) Report() BackendFlights {
 	defer f.mu.Unlock()
 	out := BackendFlights{Backend: f.backend}
 	for shape, fs := range f.shapes {
-		row := ShapeFlights{Shape: shape, Records: make([]FlightRecord, 0, len(fs.records))}
+		row := ShapeFlights{Shape: shape, Records: make([]QueryRecord, 0, len(fs.records))}
 		for i := len(fs.records) - 1; i >= 0; i-- { // ascending ring → slowest first
 			row.Records = append(row.Records, fs.records[i])
 		}

@@ -309,6 +309,21 @@ func (t *Tracer) MaybeSample(traceID uint64) bool {
 	return t.Retain(traceID, KeepSample)
 }
 
+// Fold is the tracer's retrieval sink: tail-based retention driven by
+// the keep decision an earlier fold (the event log) wrote into rec. An
+// always-keep reason (error / SLO-slow / bound-violating) retains the
+// query's full trace tree; everything else goes through the uniform
+// sampler. rec.Retained reports the outcome for the metrics exemplar.
+func (t *Tracer) Fold(rec *QueryRecord) {
+	for _, r := range rec.Keep {
+		if r == KeepError || r == KeepSlow || r == KeepBound {
+			rec.Retained = t.Retain(rec.TraceID, r)
+			return
+		}
+	}
+	rec.Retained = t.MaybeSample(rec.TraceID)
+}
+
 // Retained returns up to n kept trace trees, most recent first.
 func (t *Tracer) Retained(n int) []RetainedTrace {
 	if t == nil || n <= 0 {
@@ -428,8 +443,9 @@ func (s *Span) End() {
 }
 
 // Snapshot returns a point-in-time copy of the span (zero value on a
-// nil span) — used by the flight recorder to retain a slow query's
-// event log after the span itself is evicted from the ring.
+// nil span) — the executor copies a retrieval's span events into its
+// QueryRecord this way, so kept records outlive the span's eviction from
+// the ring.
 func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
 		return SpanSnapshot{}

@@ -27,6 +27,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"sync"
 	"time"
 
 	"fxdist/internal/mempool"
@@ -46,8 +47,11 @@ const (
 // gigabytes.
 const maxPayload = 16 << 20
 
-// Store is one device's durable bucket store.
+// Store is one device's durable bucket store. Reads (scans) may run
+// concurrently with each other and with appends, deletes and compaction:
+// mu guards the file handle, the index, the size and the record count.
 type Store struct {
+	mu   sync.RWMutex
 	f    *os.File
 	path string
 	// index maps bucket id to the file offsets of its record frames.
@@ -156,12 +160,21 @@ func (s *Store) recover() error {
 func (s *Store) Path() string { return s.path }
 
 // Len returns the number of stored records.
-func (s *Store) Len() int { return s.records }
+func (s *Store) Len() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.records
+}
 
 // Buckets returns the number of non-empty buckets.
-func (s *Store) Buckets() int { return len(s.index) }
+func (s *Store) Buckets() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.index)
+}
 
-// appendFrame writes one frame and returns its offset. The frame is
+// appendFrame writes one frame and returns its offset; the caller holds
+// mu for writing. The frame is
 // encoded directly into one exactly-sized pooled buffer (header, kind,
 // record body) and recycled after the write; the bytes on disk are
 // identical to what the two-copy encoder historically produced.
@@ -190,6 +203,8 @@ func (s *Store) appendFrame(kind byte, bucket uint32, rec mkhash.Record) (int64,
 // the OS until Sync.
 func (s *Store) Append(bucket uint32, rec mkhash.Record) error {
 	t0 := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	off, err := s.appendFrame(kindPut, bucket, rec)
 	mAppend.ObserveSince(t0)
 	if err != nil {
@@ -214,7 +229,8 @@ func recordsEqual(a, b mkhash.Record) bool {
 }
 
 // dropFromIndex removes every live offset in the bucket whose stored
-// record equals rec, decrementing the record count.
+// record equals rec, decrementing the record count. The caller holds mu
+// for writing (or owns the store, during recovery).
 func (s *Store) dropFromIndex(bucket uint32, rec mkhash.Record) error {
 	offs := s.index[bucket]
 	kept := offs[:0]
@@ -241,6 +257,8 @@ func (s *Store) dropFromIndex(bucket uint32, rec mkhash.Record) error {
 // number removed. A tombstone frame is appended so the deletion survives
 // restarts; deleting a record that is not present writes nothing.
 func (s *Store) Delete(bucket uint32, rec mkhash.Record) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	matches := 0
 	for _, off := range s.index[bucket] {
 		stored, _, err := s.readFrame(off)
@@ -269,6 +287,8 @@ func (s *Store) Delete(bucket uint32, rec mkhash.Record) (int, error) {
 // Scan order within each bucket is preserved.
 func (s *Store) Compact() error {
 	t0 := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	oldSize := s.size
 	tmpPath := s.path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -311,6 +331,8 @@ func (s *Store) Compact() error {
 
 // Scan calls fn for every record in the bucket, in append order.
 func (s *Store) Scan(bucket uint32, fn func(rec mkhash.Record) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, off := range s.index[bucket] {
 		rec, _, err := s.readFrame(off)
 		if err != nil {
@@ -323,9 +345,16 @@ func (s *Store) Scan(bucket uint32, fn func(rec mkhash.Record) error) error {
 	return nil
 }
 
-// EachBucket calls fn for every non-empty bucket id.
+// EachBucket calls fn for every non-empty bucket id, as of the call; fn
+// may scan the store.
 func (s *Store) EachBucket(fn func(bucket uint32) error) error {
+	s.mu.RLock()
+	buckets := make([]uint32, 0, len(s.index))
 	for b := range s.index {
+		buckets = append(buckets, b)
+	}
+	s.mu.RUnlock()
+	for _, b := range buckets {
 		if err := fn(b); err != nil {
 			return err
 		}
@@ -372,6 +401,8 @@ func (s *Store) readPayload(off int64) ([]byte, error) {
 // whole scan's memory recycles on the builder's Release. Records are
 // only valid as long as b's arena is (see mempool.RecordBuilder).
 func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mkhash.Record) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for _, off := range s.index[bucket] {
 		payload, err := s.readPayload(off)
 		if err != nil {
@@ -392,13 +423,17 @@ func (s *Store) ScanInto(bucket uint32, b *mempool.RecordBuilder, fn func(rec mk
 // Sync flushes appended frames to stable storage.
 func (s *Store) Sync() error {
 	t0 := time.Now()
+	s.mu.RLock()
 	err := s.f.Sync()
+	s.mu.RUnlock()
 	mSync.ObserveSince(t0)
 	return err
 }
 
 // Close syncs and closes the store.
 func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.f.Sync(); err != nil {
 		s.f.Close()
 		return err

@@ -62,8 +62,11 @@ type Plan struct {
 	bytes int
 }
 
-// bound returns ceil(rq/m), 0 for m <= 0.
-func bound(rq, m int) int {
+// Bound returns the paper's strict-optimality bound ceil(rq/m) for a
+// query with |R(q)| = rq qualified buckets on m devices (0 for m <= 0).
+// Plans carry it, so the engine computes it once per shape and every
+// retrieval sink judges against the same number.
+func Bound(rq, m int) int {
 	if m <= 0 {
 		return 0
 	}
@@ -80,7 +83,7 @@ func Summary(q query.Query, rq, m int) *Plan {
 		Unspec: q.UnspecifiedFields(),
 		RQ:     rq,
 		M:      m,
-		Bound:  bound(rq, m),
+		Bound:  Bound(rq, m),
 		solved: -1,
 		bytes:  64,
 	}

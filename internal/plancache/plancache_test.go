@@ -109,6 +109,17 @@ func TestCompileMaxTuples(t *testing.T) {
 	}
 }
 
+func TestBound(t *testing.T) {
+	cases := []struct{ rq, m, want int }{
+		{4, 4, 1}, {5, 4, 2}, {8, 4, 2}, {1, 4, 1}, {0, 4, 0}, {7, 0, 0},
+	}
+	for _, c := range cases {
+		if got := Bound(c.rq, c.m); got != c.want {
+			t.Errorf("Bound(%d,%d) = %d, want %d", c.rq, c.m, got, c.want)
+		}
+	}
+}
+
 func TestSummaryPlan(t *testing.T) {
 	q := query.New([]int{3, query.Unspecified})
 	p := Summary(q, 40, 16)

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -18,7 +17,6 @@ import (
 	"fxdist/internal/persist"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // DurableCluster is the disk-backed counterpart of Cluster: every device
@@ -72,15 +70,11 @@ func (c *DurableCluster) engineFor(model CostModel, st *settings) (*engine.Execu
 		FS:         c.fs,
 		Devices:    devices,
 		Model:      model,
-		Observer:   engine.NewClusterMetrics("durable", c.fs.M),
 		Tracer:     obs.DefaultTracer(),
 		Span:       "storage.retrieve",
-		Audit:      audit.For("durable"),
 		Alloc:      c.alloc,
 		Plans:      plancache.New("durable"),
-		Profile:    obs.CostProfilerFor("durable"),
-		Flight:     obs.FlightRecorderFor("durable"),
-		Events:     telemetry.LogFor("durable"),
+		Sinks:      engine.Sinks("durable", obs.DefaultTracer(), engine.NewClusterMetrics("durable", c.fs.M)),
 		Resilience: st.resilienceFor("durable", devices),
 	}))
 }

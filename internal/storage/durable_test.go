@@ -333,3 +333,55 @@ func TestDurableDeleteAndCompact(t *testing.T) {
 func persistSaveNoAlloc(dir string, schemaOnly *mkhash.File) error {
 	return persistSaveFile(filepath.Join(dir, metaName), schemaOnly)
 }
+
+// TestDurableInsertDuringRetrieve is the regression test for the race
+// between appends and scans on a device store: one goroutine inserts
+// 2,000 records while the test goroutine runs 400 retrievals. Under
+// -race the store's index, size and record count must be guarded; every
+// answer must only hold matching records, and once the writer is done
+// the cluster must return all of them.
+func TestDurableInsertDuringRetrieve(t *testing.T) {
+	file, fx := durableFixture(t, 0, 4)
+	c, err := CreateDurable(t.TempDir(), file, fx, MainMemory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const inserts = 2000
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < inserts; i++ {
+			r := mkhash.Record{fmt.Sprintf("make%d", i%5), fmt.Sprintf("model%d", i), fmt.Sprintf("%d", 1980+i%6)}
+			if err := c.Insert(r); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	pm, err := file.Spec(map[string]string{"make": "make2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		res, err := c.Retrieve(pm)
+		if err != nil {
+			t.Fatalf("retrieval %d: %v", i, err)
+		}
+		for _, r := range res.Records {
+			if r[0] != "make2" {
+				t.Fatalf("retrieval %d returned non-matching record %v", i, r)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Retrieve(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := inserts / 5; len(res.Records) != want || c.Len() != inserts {
+		t.Errorf("after the writer: %d records retrieved (want %d), Len %d (want %d)", len(res.Records), want, c.Len(), inserts)
+	}
+}

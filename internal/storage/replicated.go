@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -12,7 +11,6 @@ import (
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
 	"fxdist/internal/replica"
-	"fxdist/internal/telemetry"
 )
 
 // ReplicatedCluster is a simulated parallel cluster with chained
@@ -69,15 +67,11 @@ func NewReplicated(file *mkhash.File, alloc decluster.GroupAllocator, mode repli
 		FS:         fs,
 		Devices:    devices,
 		Model:      model,
-		Observer:   engine.NewClusterMetrics("replicated", fs.M),
 		Tracer:     obs.DefaultTracer(),
 		Span:       "storage.retrieve",
-		Audit:      audit.For("replicated"),
 		Alloc:      alloc,
 		Plans:      plancache.New("replicated"),
-		Profile:    obs.CostProfilerFor("replicated"),
-		Flight:     obs.FlightRecorderFor("replicated"),
-		Events:     telemetry.LogFor("replicated"),
+		Sinks:      engine.Sinks("replicated", obs.DefaultTracer(), engine.NewClusterMetrics("replicated", fs.M)),
 		Resilience: st.resilienceFor("replicated", devices),
 	}))
 	if err != nil {

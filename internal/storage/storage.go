@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"fxdist/internal/audit"
 	"fxdist/internal/decluster"
 	"fxdist/internal/engine"
 	"fxdist/internal/mempool"
@@ -28,7 +27,6 @@ import (
 	"fxdist/internal/obs"
 	"fxdist/internal/plancache"
 	"fxdist/internal/query"
-	"fxdist/internal/telemetry"
 )
 
 // CostModel is the per-device service time model; see engine.CostModel.
@@ -110,15 +108,11 @@ func NewCluster(file *mkhash.File, alloc decluster.GroupAllocator, model CostMod
 		FS:         fs,
 		Devices:    devices,
 		Model:      model,
-		Observer:   engine.NewClusterMetrics("memory", fs.M),
 		Tracer:     obs.DefaultTracer(),
 		Span:       "storage.retrieve",
-		Audit:      audit.For("memory"),
 		Alloc:      alloc,
 		Plans:      plancache.New("memory"),
-		Profile:    obs.CostProfilerFor("memory"),
-		Flight:     obs.FlightRecorderFor("memory"),
-		Events:     telemetry.LogFor("memory"),
+		Sinks:      engine.Sinks("memory", obs.DefaultTracer(), engine.NewClusterMetrics("memory", fs.M)),
 		Resilience: st.resilienceFor("memory", devices),
 	}))
 	if err != nil {

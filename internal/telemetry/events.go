@@ -2,13 +2,13 @@
 // internal/obs. It adds three fleet-level instruments the per-node
 // metrics/traces/profiles from earlier PRs cannot provide:
 //
-//   - a wide-event query log — one structured event per retrieval with
-//     everything an operator asks of a single query (shape, plan-cache
-//     hit, per-stage costs, per-device bucket counts vs the paper's
-//     strict bound ceil(|R(q)|/M), trace ID, error/partial manifest),
-//     head-sampled per shape with always-keep rules for errors,
-//     SLO-slow and bound-violating queries (/debug/events, NDJSON
-//     streamable);
+//   - a wide-event query log — a fold over the engine's one
+//     obs.QueryRecord per retrieval, which carries everything an
+//     operator asks of a single query (shape, plan-cache hit, per-stage
+//     costs, per-device bucket counts vs the paper's strict bound
+//     ceil(|R(q)|/M), trace ID, error/partial manifest), head-sampled
+//     per shape with always-keep rules for errors, SLO-slow and
+//     bound-violating queries (/debug/events, NDJSON streamable);
 //
 //   - metrics federation — node snapshots pulled by the netdist
 //     coordinator over the wire protocol and merged into one fleet view
@@ -16,9 +16,9 @@
 //     counters, merged histograms, worst-device discrepancy and SLO
 //     burn across nodes;
 //
-//   - the keep decision that drives tail-based trace retention and
-//     histogram exemplars in obs, so a kept event links to a kept trace
-//     tree and a latency bucket links to both.
+//   - the keep decision, written into the record for the trace
+//     retention and metrics folds after it, so a kept event links to a
+//     kept trace tree and a latency bucket links to both.
 package telemetry
 
 import (
@@ -30,68 +30,10 @@ import (
 	"fxdist/internal/obs"
 )
 
-// DeviceSample is one device's share of a wide event.
-type DeviceSample struct {
-	Device  int           `json:"device"`
-	Buckets int           `json:"buckets"`
-	Scan    time.Duration `json:"scan_ns,omitempty"`
-	Err     string        `json:"err,omitempty"`
-}
-
-// Event is one wide event: the full story of one retrieval. The engine
-// executor emits one per query; the log decides whether it is kept.
-type Event struct {
-	Time    time.Time `json:"time"`
-	Backend string    `json:"backend"`
-	Shape   string    `json:"shape"`
-	// Tenant is the caller attribution (a gateway tenant name), empty
-	// for unattributed retrievals. See engine.ContextWithCaller.
-	Tenant  string        `json:"tenant,omitempty"`
-	TraceID uint64        `json:"trace_id,omitempty"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-
-	PlanCacheHit bool `json:"plan_cache_hit"`
-	// RQ is |R(q)|; Bound is the paper's strict bound ceil(|R(q)|/M);
-	// MaxDeviceBuckets the worst single device of this query.
-	RQ               int  `json:"rq"`
-	Bound            int  `json:"bound"`
-	MaxDeviceBuckets int  `json:"max_device_buckets"`
-	BoundViolation   bool `json:"bound_violation,omitempty"`
-
-	// Slow is set by the log when Elapsed exceeded the shape's SLO
-	// target (recorded in SLOTarget).
-	Slow      bool          `json:"slow,omitempty"`
-	SLOTarget time.Duration `json:"slo_target_ns,omitempty"`
-
-	// Error/partial manifest.
-	Err           string  `json:"err,omitempty"`
-	Partial       bool    `json:"partial,omitempty"`
-	Coverage      float64 `json:"coverage,omitempty"`
-	FailedDevices []int   `json:"failed_devices,omitempty"`
-
-	Devices []DeviceSample    `json:"devices,omitempty"`
-	Stages  []obs.StageSample `json:"stages,omitempty"`
-
-	// Keep records why the log kept this event (error/slow/bound =
-	// always-keep; head/sample = head sampling).
-	Keep []string `json:"keep,omitempty"`
-}
-
-// Head-sampling keep reasons (the always-keep reasons are shared with
-// trace retention: obs.KeepError/KeepSlow/KeepBound/KeepSample).
-const (
-	KeepHead = "head"
-)
-
-// Decision is the outcome of offering an event to the log. Always is
-// true when an always-keep rule fired — the engine mirrors the same
-// decision into trace retention (retain on Always, uniform-sample
-// otherwise) so kept events and kept traces stay consistent.
-type Decision struct {
-	Kept    bool
-	Always  bool
-	Reasons []string
-}
+// KeepHead is the head-sampling keep reason; the always-keep reasons
+// are shared with trace retention (obs.KeepError/KeepSlow/KeepBound/
+// KeepSample).
+const KeepHead = "head"
 
 // Config tunes one backend's event log.
 type Config struct {
@@ -132,13 +74,13 @@ type EventLog struct {
 
 	mu     sync.Mutex
 	cfg    Config
-	ring   []Event
+	ring   []obs.QueryRecord
 	next   int
 	full   bool
 	shapes map[string]*shapeSampler
 	seen   uint64
 	kept   uint64
-	subs   map[chan Event]struct{}
+	subs   map[chan obs.QueryRecord]struct{}
 
 	mSeen    *obs.Counter
 	mKept    *obs.Counter
@@ -154,9 +96,9 @@ func NewEventLog(backend string, cfg Config) *EventLog {
 	return &EventLog{
 		backend: backend,
 		cfg:     cfg,
-		ring:    make([]Event, cfg.Capacity),
+		ring:    make([]obs.QueryRecord, cfg.Capacity),
 		shapes:  make(map[string]*shapeSampler),
-		subs:    make(map[chan Event]struct{}),
+		subs:    make(map[chan obs.QueryRecord]struct{}),
 		mSeen: r.Counter("fxdist_events_seen_total",
 			"Wide events offered to the query log, per backend.", bl),
 		mKept: r.Counter("fxdist_events_kept_total",
@@ -177,7 +119,7 @@ func (l *EventLog) Configure(cfg Config) {
 	l.mu.Lock()
 	events := l.lockedRecent(cfg.Capacity)
 	l.cfg = cfg
-	l.ring = make([]Event, cfg.Capacity)
+	l.ring = make([]obs.QueryRecord, cfg.Capacity)
 	l.next, l.full = 0, false
 	for i := len(events) - 1; i >= 0; i-- { // oldest first
 		l.ring[l.next] = events[i]
@@ -189,40 +131,39 @@ func (l *EventLog) Configure(cfg Config) {
 	l.mu.Unlock()
 }
 
-// Offer submits one event and returns the keep decision. The event's
-// Slow/SLOTarget/Keep fields are filled in by the log.
-func (l *EventLog) Offer(ev Event) Decision {
-	if l == nil {
-		return Decision{}
+// Fold is the log's retrieval sink: it applies the keep rules to rec,
+// writes the outcome into rec (Slow/SLOTarget, and Keep when kept) for
+// the folds after it, and keeps a copy. Records without a shape (the
+// query failed before planning) are not sampled.
+func (l *EventLog) Fold(rec *obs.QueryRecord) {
+	if l == nil || rec.Shape == "" {
+		return
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
-	ev.Backend = l.backend
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.seen++
 	l.mSeen.Inc()
 
 	var reasons []string
-	if ev.Err != "" || ev.Partial {
+	if rec.Err != "" || rec.Partial {
 		reasons = append(reasons, obs.KeepError)
 	}
 	if l.cfg.SlowFor != nil {
-		if target := l.cfg.SlowFor(ev.Shape); target > 0 && ev.Elapsed > target {
-			ev.Slow = true
-			ev.SLOTarget = target
+		if target := l.cfg.SlowFor(rec.Shape); target > 0 && rec.Elapsed > target {
+			rec.Slow = true
+			rec.SLOTarget = target
 			reasons = append(reasons, obs.KeepSlow)
 		}
 	}
-	if ev.BoundViolation {
+	if rec.BoundViolation {
 		reasons = append(reasons, obs.KeepBound)
 	}
 	always := len(reasons) > 0
 
-	ss := l.shapes[ev.Shape]
+	ss := l.shapes[rec.Shape]
 	if ss == nil {
 		ss = &shapeSampler{}
-		l.shapes[ev.Shape] = ss
+		l.shapes[rec.Shape] = ss
 	}
 	ss.seen++
 	if !always {
@@ -235,14 +176,15 @@ func (l *EventLog) Offer(ev Event) Decision {
 	}
 	if len(reasons) == 0 {
 		l.mDropped.Inc()
-		l.mu.Unlock()
-		return Decision{}
+		return
 	}
 
-	ev.Keep = reasons
+	rec.Keep = reasons
 	ss.kept++
 	l.kept++
 	l.mKept.Inc()
+	ev := *rec
+	ev.Backend = l.backend
 	l.ring[l.next] = ev
 	l.next++
 	if l.next == len(l.ring) {
@@ -254,17 +196,15 @@ func (l *EventLog) Offer(ev Event) Decision {
 		default: // slow follower: drop rather than stall the hot path
 		}
 	}
-	l.mu.Unlock()
-	return Decision{Kept: true, Always: always, Reasons: reasons}
 }
 
 // lockedRecent returns up to n kept events, most recent first. Caller
 // holds l.mu.
-func (l *EventLog) lockedRecent(n int) []Event {
+func (l *EventLog) lockedRecent(n int) []obs.QueryRecord {
 	if n <= 0 {
 		return nil
 	}
-	var out []Event
+	var out []obs.QueryRecord
 	for i := l.next - 1; i >= 0 && len(out) < n; i-- {
 		out = append(out, l.ring[i])
 	}
@@ -277,7 +217,7 @@ func (l *EventLog) lockedRecent(n int) []Event {
 }
 
 // Recent returns up to n kept events, most recent first.
-func (l *EventLog) Recent(n int) []Event {
+func (l *EventLog) Recent(n int) []obs.QueryRecord {
 	if l == nil {
 		return nil
 	}
@@ -288,13 +228,13 @@ func (l *EventLog) Recent(n int) []Event {
 
 // Subscribe registers a live feed of kept events (the NDJSON ?follow=1
 // path). Slow subscribers miss events instead of stalling retrievals.
-func (l *EventLog) Subscribe() (<-chan Event, func()) {
+func (l *EventLog) Subscribe() (<-chan obs.QueryRecord, func()) {
 	if l == nil {
-		ch := make(chan Event)
+		ch := make(chan obs.QueryRecord)
 		close(ch)
 		return ch, func() {}
 	}
-	ch := make(chan Event, 64)
+	ch := make(chan obs.QueryRecord, 64)
 	l.mu.Lock()
 	l.subs[ch] = struct{}{}
 	l.mu.Unlock()
@@ -351,7 +291,7 @@ func (l *EventLog) Reset() {
 		return
 	}
 	l.mu.Lock()
-	l.ring = make([]Event, l.cfg.Capacity)
+	l.ring = make([]obs.QueryRecord, l.cfg.Capacity)
 	l.next, l.full = 0, false
 	l.shapes = make(map[string]*shapeSampler)
 	l.seen, l.kept = 0, 0

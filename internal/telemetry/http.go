@@ -14,8 +14,8 @@ import (
 
 // backendEvents is one backend's slice of the /debug/events document.
 type backendEvents struct {
-	Stats  LogStats `json:"stats"`
-	Events []Event  `json:"events"`
+	Stats  LogStats          `json:"stats"`
+	Events []obs.QueryRecord `json:"events"`
 }
 
 func eventsDoc(backend string, n int) map[string]backendEvents {
@@ -94,7 +94,7 @@ func eventsHandler() http.Handler {
 			if flusher != nil {
 				flusher.Flush()
 			}
-			var feeds []<-chan Event
+			var feeds []<-chan obs.QueryRecord
 			var cancels []func()
 			for _, l := range Logs() {
 				if backend != "" && l.Stats().Backend != backend {
@@ -109,9 +109,9 @@ func eventsHandler() http.Handler {
 					c()
 				}
 			}()
-			merged := make(chan Event, 64)
+			merged := make(chan obs.QueryRecord, 64)
 			for _, ch := range feeds {
-				go func(ch <-chan Event) {
+				go func(ch <-chan obs.QueryRecord) {
 					for ev := range ch {
 						select {
 						case merged <- ev:

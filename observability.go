@@ -120,8 +120,8 @@ func SetShapeLatencySLO(backend, shape string, target time.Duration, goal float6
 // QueryEvent is one wide event — everything known about a single
 // retrieval: shape, backend, plan-cache hit, per-stage costs, per-device
 // bucket counts against the strict bound, trace id, and error/partial
-// manifest.
-type QueryEvent = telemetry.Event
+// manifest. It is the same record a FlightRecord is.
+type QueryEvent = obs.QueryRecord
 
 // QueryLogStats summarises one backend's event log: seen/kept counts
 // and the sampling configuration.

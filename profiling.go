@@ -63,12 +63,13 @@ func (c *Cluster) CostReport() BackendCost {
 }
 
 // FlightDevice is one device's share of a recorded slow query.
-type FlightDevice = obs.FlightDevice
+type FlightDevice = obs.DeviceRecord
 
 // FlightRecord is one retained slow query: stage breakdown, span
 // events (retry/hedge/breaker decisions), plan-cache hit/miss, and
 // per-device bucket counts against the strict bound ceil(|R(q)|/M).
-type FlightRecord = obs.FlightRecord
+// It is the same record a QueryEvent is.
+type FlightRecord = obs.QueryRecord
 
 // ShapeFlights is one query shape's retained records, slowest first.
 type ShapeFlights = obs.ShapeFlights

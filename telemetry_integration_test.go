@@ -249,7 +249,7 @@ func TestClusterTelemetryPlane(t *testing.T) {
 
 	// The bound-violating query must be in the event log despite the 1%
 	// sampling floor, kept for the bound reason...
-	var bound *telemetry.Event
+	var bound *fxdist.QueryEvent
 	recent := ev.Recent(256)
 	for i := range recent {
 		if recent[i].BoundViolation {
