@@ -2,7 +2,6 @@ package netdist
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/bits"
@@ -12,10 +11,12 @@ import (
 	"fxdist/internal/mkhash"
 )
 
-// Binary wire protocol. A connection that opens with the 4-byte magic
-// speaks length-prefixed binary frames; anything else is the legacy gob
-// stream, so old coordinators and old servers interoperate with new
-// ones in both directions (see handshake / Server.handle).
+// Binary wire protocol: the only way a coordinator and a device server
+// talk. The coordinator opens every connection with the 4-byte magic and
+// the server acks it with the same bytes; a server closes a connection
+// that opens with anything else, and a coordinator gives up on a server
+// that does not ack (ErrWireVersion). The version byte in the magic is
+// the single compatibility check: a frame-layout change bumps it.
 //
 // Frame layout, both directions, after the handshake:
 //
@@ -36,10 +37,9 @@ import (
 //	uvarint(numRecords) then records as in the response payload
 //
 // The rescale extension (Epoch, Control, Bucket, SpecJSON, Payload) is
-// gated by flags bit2 and appended after the value filters, so frames
-// from pre-rescale peers — which never set the bit — decode unchanged,
-// and pre-rescale decoders never see the extension (a rescale requires
-// every server at this version; Prepare fails cleanly on older ones).
+// gated by flags bit2 and appended after the value filters, so the
+// frames of ordinary queries outside a rescale (epoch 0, no control op)
+// omit it and stay as small as a plain query needs.
 //
 // Response payload:
 //
@@ -49,12 +49,9 @@ import (
 //	field uvarint(len)+bytes
 //	[optional trailing] uvarint(len)+bytes of StatsJSON
 //
-// The StatsJSON field is trailing-optional for wire compatibility:
-// encoders append it only when non-empty, and decoders read it only
-// when payload bytes remain after the records, so frames from peers on
-// either side of the addition round-trip cleanly (old decoders never
-// reach the trailing bytes of a frame they've fully parsed; gob
-// tolerates added struct fields in both directions by design).
+// StatsJSON is trailing-optional for the same reason: only Stats
+// answers carry it, so encoders append it only when non-empty and
+// decoders read it only when payload bytes remain after the records.
 //
 // Encoders size the payload exactly, fill one pooled frame, and write
 // it with a single Write; decoders read the whole frame into a pooled
@@ -525,31 +522,12 @@ func readFrame(r io.Reader, frames *mempool.SlicePool[byte]) (payload []byte, do
 	return buf, func() { frames.Put(buf) }, nil
 }
 
-// wireCodec is the coordinator-side protocol seam: writeRequest runs
+// binCodec is the coordinator side of the protocol: writeRequest runs
 // under the connection's write mutex against the counting writer,
 // readResponse runs on the read-loop goroutine against the timing
-// reader. release, when non-nil, returns the response's record arena
-// to its pool (binary codec in arena mode only).
-type wireCodec interface {
-	writeRequest(req *Request) error
-	readResponse(resp *Response) (release func(), err error)
-}
-
-// gobCodec is the legacy protocol, kept both as the fallback for old
-// peers and as the reference encoding for differential tests.
-type gobCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobCodec) writeRequest(req *Request) error { return g.enc.Encode(req) }
-func (g *gobCodec) readResponse(resp *Response) (func(), error) {
-	return nil, g.dec.Decode(resp)
-}
-
-// binCodec speaks the length-prefixed binary protocol. Writer state and
-// reader state are disjoint (writeMu vs read loop), matching gob's
-// Encoder/Decoder split.
+// reader, so writer state and reader state never share a goroutine.
+// readResponse's release, when non-nil, returns the response's record
+// arena to its pool (arena mode only).
 type binCodec struct {
 	w      io.Writer
 	r      io.Reader
@@ -573,22 +551,9 @@ func (b *binCodec) readResponse(resp *Response) (func(), error) {
 	return decodeResponse(payload, resp, b.hits, b.arena)
 }
 
-// serverCodec is the device-server side of the same seam.
-type serverCodec interface {
-	readRequest(req *Request) error
-	writeResponse(resp *Response) error
-}
-
-type gobServerCodec struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-}
-
-func (g *gobServerCodec) readRequest(req *Request) error { return g.dec.Decode(req) }
-func (g *gobServerCodec) writeResponse(resp *Response) error {
-	return g.enc.Encode(resp)
-}
-
+// binServerCodec is the device-server side: r is the bufio.Reader the
+// handshake read the magic through, so a frame header and its payload
+// usually arrive in one underlying Read.
 type binServerCodec struct {
 	w      io.Writer
 	r      io.Reader

@@ -2,11 +2,12 @@ package netdist
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,12 +156,62 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	}
 }
 
-// TestGobClientAgainstBinaryServer drives a Deploy'd (binary-capable)
-// server with a raw legacy gob stream: the server must peek, see no
-// magic, and fall back without eating the first gob message.
-func TestGobClientAgainstBinaryServer(t *testing.T) {
-	file := buildFile(t, 500)
-	fs, err := file.FileSystem(4)
+// handshakeListener accepts connections and hands each to serve. It
+// returns the listener's address and a func that reports how many
+// connections were accepted so far, so a test can tell a single dial
+// from a redial.
+func handshakeListener(t *testing.T, serve func(net.Conn)) (addr string, accepted func() int) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	remotes := make(chan string, 16) // far more than any test dials
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			remotes <- conn.RemoteAddr().String()
+			go func() {
+				defer conn.Close()
+				serve(conn)
+			}()
+		}
+	}()
+	addr = l.Addr().String()
+	// accepted dials a sentinel connection and counts the accepts ahead
+	// of it: the listener accepts in connection order, so every
+	// connection made before the call is counted.
+	accepted = func() int {
+		sentinel, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sentinel.Close()
+		for n := 0; ; n++ {
+			select {
+			case r := <-remotes:
+				if r == sentinel.LocalAddr().String() {
+					return n
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("listener stopped accepting")
+			}
+		}
+	}
+	return addr, accepted
+}
+
+// dialWithBadDevice deploys a real server for device 0 and dials it
+// alongside addr as device 1, returning how long Dial took and its
+// error.
+func dialWithBadDevice(t *testing.T, addr string) (time.Duration, error) {
+	t.Helper()
+	file := buildFile(t, 50)
+	fs, err := file.FileSystem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,95 +220,78 @@ func TestGobClientAgainstBinaryServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	t0 := time.Now()
+	coord, err := Dial(file, []string{addrs[0], addr}, WithTimeout(time.Nanosecond))
+	elapsed := time.Since(t0)
+	if err == nil {
+		coord.Close()
 	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	req := NewRequest([]int{query.Unspecified, query.Unspecified, query.Unspecified}, make(mkhash.PartialMatch, 3))
-	req.ID = 11
-	if err := enc.Encode(&req); err != nil {
-		t.Fatal(err)
+	return elapsed, err
+}
+
+// checkWireVersionErr asserts err is ErrWireVersion inside a DeviceError
+// naming device 1 at addr.
+func checkWireVersionErr(t *testing.T, err error, addr string) {
+	t.Helper()
+	if !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("Dial returned %v, want ErrWireVersion", err)
 	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 11 || resp.Err != "" {
-		t.Fatalf("gob fallback response: %+v", resp)
-	}
-	if resp.Scanned == 0 || len(resp.Records) == 0 {
-		t.Fatalf("gob fallback scanned nothing: %+v", resp)
+	var de *DeviceError
+	if !errors.As(err, &de) || de.Device != 1 || de.Addr != addr {
+		t.Fatalf("Dial error %v does not name device 1 at %s", err, addr)
 	}
 }
 
-// TestDialFallsBackToGobOnlyServer dials a legacy server that never
-// acks the magic: the client must give up on the handshake window,
-// redial, and speak gob.
-func TestDialFallsBackToGobOnlyServer(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestDialRejectsSilentServer dials a listener that accepts and never
+// acks the magic: Dial fails with ErrWireVersion after the fixed
+// handshake window (a 1ns request timeout does not shorten it) and
+// never redials.
+func TestDialRejectsSilentServer(t *testing.T) {
+	addr, accepted := handshakeListener(t, func(conn net.Conn) {
+		io.Copy(io.Discard, conn) //nolint:errcheck // holds the conn open until the client closes
+	})
+	elapsed, err := dialWithBadDevice(t, addr)
+	checkWireVersionErr(t, err, addr)
+	if elapsed < handshakeWindow || elapsed > handshakeWindow+time.Second {
+		t.Errorf("Dial gave up after %v, want about the %v handshake window", elapsed, handshakeWindow)
 	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				for {
-					var req Request
-					// The magic bytes parse as a gob length prefix, so this
-					// blocks until the client closes — exactly how an old
-					// server behaves.
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if err := enc.Encode(&Response{ID: req.ID, Buckets: 1}); err != nil {
-						return
-					}
-				}
-			}(conn)
+	if n := accepted(); n != 1 {
+		t.Fatalf("listener saw %d connections, want exactly 1 (no redial)", n)
+	}
+}
+
+// TestDialRejectsWrongAck dials a listener that acks with another
+// protocol version: Dial fails with ErrWireVersion at once.
+func TestDialRejectsWrongAck(t *testing.T) {
+	addr, accepted := handshakeListener(t, func(conn net.Conn) {
+		var magic [len(wireMagic)]byte
+		if _, err := io.ReadFull(conn, magic[:]); err != nil {
+			return
 		}
-	}()
-	c := &Coordinator{timeout: 200 * time.Millisecond}
-	dc, err := c.dialDevice(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+		if _, err := conn.Write([]byte{'F', 'X', 'B', 2}); err != nil {
+			return
+		}
+		io.Copy(io.Discard, conn) //nolint:errcheck // holds the conn open until the client closes
+	})
+	elapsed, err := dialWithBadDevice(t, addr)
+	checkWireVersionErr(t, err, addr)
+	if elapsed >= handshakeWindow {
+		t.Errorf("Dial took %v on a wrong ack, want a prompt failure", elapsed)
 	}
-	defer dc.conn.Close()
-	if dc.binary {
-		t.Fatal("gob-only server negotiated binary")
+	if !strings.Contains(err.Error(), `"FXB\x02"`) {
+		t.Errorf("error %q does not show the ack it got", err)
 	}
-	resp, _, _, release, err := dc.roundTrip(context.Background(), Request{Ping: true, AsDevice: -1}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if release != nil {
-		release()
-	}
-	if resp.Buckets != 1 {
-		t.Fatalf("gob fallback round trip: %+v", resp)
+	if n := accepted(); n != 1 {
+		t.Fatalf("listener saw %d connections, want exactly 1 (no redial)", n)
 	}
 }
 
-// TestDialNegotiatesBinary checks the happy path: new client against
-// new server settles on the binary protocol and retrieval agrees with
-// a direct file search.
+// TestDialNegotiatesBinary checks the happy path: the handshake acks
+// and retrieval over binary frames agrees with a direct file search.
 func TestDialNegotiatesBinary(t *testing.T) {
 	file := buildFile(t, 800)
 	coord, cleanup := deploy(t, file, 4)
 	defer cleanup()
-	for i, dc := range coord.conns {
-		if !dc.binary {
-			t.Fatalf("conn %d did not negotiate binary", i)
-		}
-	}
 	pm, err := file.Spec(map[string]string{"supplier": "sup3"})
 	if err != nil {
 		t.Fatal(err)

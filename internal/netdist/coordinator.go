@@ -2,7 +2,6 @@ package netdist
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +24,16 @@ import (
 // ErrTimeout marks a per-device request that exceeded the coordinator's
 // timeout; match with errors.Is.
 var ErrTimeout = errors.New("request timed out")
+
+// ErrWireVersion marks a device server that did not ack the wire
+// protocol's magic within handshakeWindow, or acked it with other bytes:
+// the peer does not speak this protocol version. Dial and the health
+// prober's redial return it inside a *DeviceError; match with errors.Is.
+var ErrWireVersion = errors.New("wire protocol version not acknowledged")
+
+// handshakeWindow bounds the wait for a server's magic ack. It is fixed:
+// the request timeout bounds requests, not the handshake.
+const handshakeWindow = 2 * time.Second
 
 // DeviceError carries the failing device's identity so a retrieval
 // failure correlates with the per-device failover and error counters.
@@ -74,21 +83,18 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // timingReader wraps the connection under the read loop's decoder,
 // stamping when the first byte of each armed message arrives and
-// counting bytes read. Only the read-loop goroutine touches it. Both
-// codecs buffer reads, so a message may decode without any underlying
-// Read (armed stays true) — the read loop then falls back to the arm
-// time.
+// counting bytes read. Only the read-loop goroutine touches it. The
+// codec reads every frame straight from it (no buffering in between),
+// so each decoded frame has a first-byte stamp of its own.
 type timingReader struct {
 	r         io.Reader
 	armed     bool
-	armedAt   time.Time
 	firstByte time.Time
 	n         uint64
 }
 
 func (t *timingReader) arm() {
 	t.armed = true
-	t.armedAt = time.Now()
 	t.n = 0
 }
 
@@ -106,7 +112,7 @@ func (t *timingReader) Read(p []byte) (int, error) {
 
 // wireDelivery is one demultiplexed response plus the read loop's
 // timing evidence for it. release, when non-nil, returns the response's
-// record arena to its pool (binary codec in arena mode).
+// record arena to its pool (arena mode).
 type wireDelivery struct {
 	resp      Response
 	firstByte time.Time
@@ -118,15 +124,14 @@ type wireDelivery struct {
 // deviceConn is one persistent connection with pipelined request/response
 // framing: many requests may be in flight concurrently, matched to
 // waiters by request ID. A single reader goroutine demultiplexes
-// responses; writers serialise on a mutex. The codec (binary or gob
-// fallback) is fixed at dial time by the handshake.
+// responses; writers serialise on a mutex. The connection speaks the
+// binary protocol from the moment the handshake acks.
 type deviceConn struct {
-	conn   net.Conn
-	addr   string
-	binary bool
+	conn net.Conn
+	addr string
 
 	writeMu sync.Mutex
-	codec   wireCodec
+	codec   *binCodec
 	cw      *countingWriter
 
 	// hits is the pool record slices were drawn from, for recycling
@@ -139,21 +144,17 @@ type deviceConn struct {
 	err     error // sticky transport error; set once the reader exits
 }
 
-func newDeviceConn(conn net.Conn, addr string, binary, noPool, arena bool) *deviceConn {
+func newDeviceConn(conn net.Conn, addr string, noPool, arena bool) *deviceConn {
 	cw := &countingWriter{w: conn}
 	tr := &timingReader{r: conn}
+	hits := clientHits(noPool)
 	dc := &deviceConn{
 		conn:    conn,
 		addr:    addr,
-		binary:  binary,
+		codec:   &binCodec{w: cw, r: tr, frames: clientFrames(noPool), hits: hits, arena: arena && !noPool},
 		cw:      cw,
-		hits:    clientHits(noPool),
+		hits:    hits,
 		pending: make(map[uint64]chan wireDelivery),
-	}
-	if binary {
-		dc.codec = &binCodec{w: cw, r: tr, frames: clientFrames(noPool), hits: dc.hits, arena: arena && !noPool}
-	} else {
-		dc.codec = &gobCodec{enc: gob.NewEncoder(cw), dec: gob.NewDecoder(tr)}
 	}
 	go dc.readLoop(tr)
 	return dc
@@ -188,12 +189,6 @@ func (dc *deviceConn) readLoop(tr *timingReader) {
 			return
 		}
 		d := wireDelivery{resp: resp, firstByte: tr.firstByte, bytes: tr.n, release: release}
-		if tr.armed {
-			// Fully buffered message: no Read happened, the bytes were
-			// already here when we armed.
-			d.firstByte = tr.armedAt
-			d.bytes = 0
-		}
 		d.decode = time.Since(d.firstByte)
 		dc.mu.Lock()
 		ch, ok := dc.pending[resp.ID]
@@ -223,7 +218,7 @@ func (dc *deviceConn) dead() error {
 // WireStages breaks one round trip into the coordinator-side wire
 // stages: Dispatch (request encode + write; OutBytes on the wire),
 // Wait (write done → first response byte), Decode (first byte →
-// response decode done, in the negotiated codec; InBytes on the wire).
+// response decode done; InBytes on the wire).
 type WireStages struct {
 	Dispatch time.Duration
 	OutBytes uint64
@@ -437,7 +432,7 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	c.prof = obs.CostProfilerFor(c.backend)
 	c.fed = telemetry.NewFederator(c.fleetName)
 	for i, addr := range addrs {
-		dc, err := c.dialDevice(addr)
+		dc, err := c.dialDevice(i, addr)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("netdist: dial %s: %w", addr, err)
@@ -484,42 +479,41 @@ func Dial(file *mkhash.File, addrs []string, opts ...DialOption) (*Coordinator, 
 	return c, nil
 }
 
-// dialDevice connects to one device server and negotiates the wire
-// protocol: the binary magic goes out first, and a server that acks it
-// speaks binary frames. No ack within the handshake window means an old
-// gob-only server (which reads the magic as a corrupt stream and hangs
-// or drops the connection) — redial and speak gob.
-func (c *Coordinator) dialDevice(addr string) (*deviceConn, error) {
+// dialDevice connects to device dev's server and runs the handshake:
+// the magic goes out first, and the server must ack it with the same
+// bytes within handshakeWindow. A server that does not is not speaking
+// this protocol version; the failure is ErrWireVersion inside a
+// *DeviceError, and there is no redial.
+func (c *Coordinator) dialDevice(dev int, addr string) (*deviceConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	window := 2 * time.Second
-	if c.timeout > 0 && c.timeout < window {
-		window = c.timeout
-	}
-	if negotiateClient(conn, window) {
-		return newDeviceConn(conn, addr, true, c.noPool, c.arena), nil
-	}
-	conn.Close()
-	conn, err = net.Dial("tcp", addr)
-	if err != nil {
+	if _, err := conn.Write(wireMagic[:]); err != nil {
+		conn.Close()
 		return nil, err
 	}
-	return newDeviceConn(conn, addr, false, c.noPool, c.arena), nil
+	if err := awaitAck(conn); err != nil {
+		conn.Close()
+		return nil, &DeviceError{Device: dev, Addr: addr, Err: err}
+	}
+	return newDeviceConn(conn, addr, c.noPool, c.arena), nil
 }
 
-// negotiateClient offers the binary protocol and reports whether the
-// server acked it before the deadline.
-func negotiateClient(conn net.Conn, window time.Duration) bool {
-	if _, err := conn.Write(wireMagic[:]); err != nil {
-		return false
-	}
-	conn.SetReadDeadline(time.Now().Add(window)) //nolint:errcheck // best effort
+// awaitAck reads the server's handshake ack, failing with ErrWireVersion
+// when none arrives within handshakeWindow or it differs from the magic.
+func awaitAck(conn net.Conn) error {
+	conn.SetReadDeadline(time.Now().Add(handshakeWindow)) //nolint:errcheck // best effort
 	var ack [len(wireMagic)]byte
 	_, err := io.ReadFull(conn, ack[:])
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck // best effort
-	return err == nil && ack == wireMagic
+	if err != nil {
+		return fmt.Errorf("%w: no ack within %v: %v", ErrWireVersion, handshakeWindow, err)
+	}
+	if ack != wireMagic {
+		return fmt.Errorf("%w: server acked %q, want %q", ErrWireVersion, ack[:], wireMagic[:])
+	}
+	return nil
 }
 
 // Controller returns the coordinator's retry controller, nil without
@@ -569,7 +563,7 @@ func (c *Coordinator) probeAll() {
 	for dev := 0; dev < m; dev++ {
 		dc := c.conn(dev)
 		if dc.dead() != nil {
-			fresh, err := c.dialDevice(dc.addr)
+			fresh, err := c.dialDevice(dev, dc.addr)
 			if err != nil {
 				// Still down; charge the breaker so it keeps cooling.
 				if c.ctrl != nil {
@@ -633,7 +627,7 @@ func (c *Coordinator) PullStats(ctx context.Context) error {
 			err = errors.New(resp.Err)
 		}
 		if err == nil && len(resp.StatsJSON) == 0 {
-			err = errors.New("netdist: server answered stats pull without a snapshot (pre-stats peer?)")
+			err = errors.New("netdist: server answered stats pull without a snapshot")
 		}
 		var st telemetry.NodeStats
 		if err == nil {
@@ -706,10 +700,10 @@ func (coordMetrics) Fold(rec *obs.QueryRecord) {
 }
 
 // remoteDevice adapts one device server connection to the engine's Device
-// contract: the bucket query travels as a Request in the negotiated codec
-// (binary; gob only against servers that predate it) and the server does
-// its own inverse mapping and value re-check. as >= 0 impersonates a dead
-// device against the server holding its backup partition (failover).
+// contract: the bucket query travels as a binary Request frame and the
+// server does its own inverse mapping and value re-check. as >= 0
+// impersonates a dead device against the server holding its backup
+// partition (failover).
 type remoteDevice struct {
 	c      *Coordinator
 	server int

@@ -1,9 +1,13 @@
 package netdist
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"reflect"
 	"testing"
 
+	"fxdist/internal/decluster"
 	"fxdist/internal/mkhash"
 	"fxdist/internal/query"
 )
@@ -112,6 +116,77 @@ func FuzzRequestWire(f *testing.F) {
 		}
 		if !reflect.DeepEqual(req, got) {
 			t.Fatalf("request wire drift:\nsent %+v\ngot  %+v", req, got)
+		}
+	})
+}
+
+// writeRecorder counts the bytes a connection handler tries to write.
+type writeRecorder struct {
+	net.Conn
+	wrote int
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.wrote += len(p)
+	return w.Conn.Write(p)
+}
+
+// FuzzServerHandshake feeds arbitrary opening bytes to a device server's
+// connection handler over an in-memory pipe: it must never panic, and
+// it must write nothing back unless the bytes open with wireMagic.
+func FuzzServerHandshake(f *testing.F) {
+	file := buildFile(f, 60)
+	fs, err := file.FileSystem(2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fx := decluster.MustFX(fs)
+	spec, err := decluster.SpecOf(fx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	parts, err := Partition(file, fx)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame := func(req Request) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, nil, requestSize(&req), func(b []byte) []byte { return appendRequest(b, &req) }); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ping := frame(Request{Ping: true, ID: 1, AsDevice: -1})
+	scan := frame(NewRequest([]int{query.Unspecified, query.Unspecified, query.Unspecified}, make(mkhash.PartialMatch, 3)))
+	f.Add([]byte{})
+	f.Add([]byte("FXB"))
+	f.Add(wireMagic[:])
+	f.Add(append(wireMagic[:], ping...))
+	f.Add(append(append(wireMagic[:], scan...), ping...))
+	f.Add(append([]byte{'F', 'X', 'B', 2}, ping...))
+	f.Add(ping)
+	// The opening of a gob stream: a message length, then a type id.
+	f.Add([]byte{0x3a, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'R', 'e', 'q', 'u', 'e', 's', 't'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, err := NewServer(0, spec, parts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		rec := &writeRecorder{Conn: server}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.handle(rec)
+		}()
+		go io.Copy(io.Discard, client) //nolint:errcheck // drains acks and answers until Close
+		if len(data) > 0 {
+			client.Write(data) //nolint:errcheck // fails once the server hangs up
+		}
+		client.Close()
+		<-done
+		if rec.wrote > 0 && !bytes.HasPrefix(data, wireMagic[:]) {
+			t.Fatalf("server wrote %d bytes to a connection that opened with %q", rec.wrote, data[:min(len(data), len(wireMagic))])
 		}
 	})
 }

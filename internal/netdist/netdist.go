@@ -6,19 +6,17 @@
 // package query — it enumerates only its own qualified buckets.
 //
 // The wire protocol is versioned, length-prefixed binary frames
-// (codec.go) negotiated on connect: a coordinator opens with a 4-byte
-// magic, a server that recognises it acks and both sides speak binary;
-// otherwise the stream is the legacy gob encoding, so old and new peers
-// interoperate in both directions. Allocator configuration travels as a
-// decluster.Spec so a device server can be started on a different
-// process or machine from the data loader.
+// (codec.go): a coordinator opens every connection with a 4-byte magic
+// that the server acks before any frame flows, and either side drops a
+// peer that opens or acks with other bytes. Allocator configuration
+// travels as a decluster.Spec so a device server can be started on a
+// different process or machine from the data loader.
 package netdist
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -34,9 +32,8 @@ import (
 )
 
 // Request is one coordinator-to-device message. The value filters travel
-// as parallel Specified/Values slices so both codecs stay simple: the
-// binary protocol writes one presence byte per field, and the gob
-// fallback keeps the same struct shape old peers already decode.
+// as parallel Specified/Values slices so the codec stays simple: one
+// presence byte per field, then the value only where it is set.
 type Request struct {
 	// ID matches the response to its request; requests pipeline over one
 	// connection. Assigned by the coordinator.
@@ -66,19 +63,16 @@ type Request struct {
 	// Stats asks the server for its telemetry snapshot instead of a
 	// query: the response carries the node's metrics registry serialised
 	// as StatsJSON. Like Ping it bypasses load shedding — a drowning
-	// node's stats are exactly the ones the fleet view needs. Old servers
-	// that predate the field answer it as a malformed query (harmless:
-	// the coordinator's stats pull just records the failure).
+	// node's stats are exactly the ones the fleet view needs.
 	Stats bool
 
 	// Epoch selects which declustering epoch a query runs against during
 	// an elastic rescale: the server's current view, or — between Prepare
 	// and Cutover — the prepared next view at epoch current+1. Outside a
 	// rescale every peer is at epoch 0 and the field rides as zero. On
-	// the binary wire the rescale extension (Epoch through Payload) is a
-	// trailing-optional section gated by a flags bit, so pre-rescale
-	// peers interoperate; a rescale itself requires every server at this
-	// version (Prepare fails cleanly on older ones).
+	// the wire the rescale extension (Epoch through Payload) is a
+	// trailing section gated by a flags bit, so the frames of ordinary
+	// queries at epoch 0 omit it.
 	Epoch int
 	// Control, when non-zero, marks a rescale control operation (the
 	// Op* constants) instead of a query. Control ops bypass load
@@ -154,8 +148,8 @@ type Response struct {
 	RetryAfterMillis int64
 	// StatsJSON answers a Stats request: the node's telemetry snapshot
 	// (telemetry.NodeStats) as an opaque JSON blob, so the frame layout
-	// stays stable as metrics evolve. Trailing-optional on the binary
-	// wire; empty on every other response.
+	// stays stable as metrics evolve. Trailing-optional on the wire;
+	// empty on every other response.
 	StatsJSON []byte
 }
 
@@ -331,27 +325,25 @@ func (s *Server) Close() {
 	}
 }
 
-// negotiateServer decides the connection's protocol from its first
-// bytes: a new coordinator leads with wireMagic (acked, then binary
-// frames both ways), an old one leads with a gob message (no ack, gob
-// both ways). Peeking instead of reading keeps the gob bytes in the
-// stream for the fallback decoder.
-func negotiateServer(conn net.Conn) (serverCodec, error) {
+// negotiateServer reads the connection's opening bytes. A coordinator
+// leads with wireMagic, which the server acks before frames flow both
+// ways; any other opening is not a peer of this protocol version, and
+// the error tells handle to close the connection without writing a
+// byte. The bufio.Reader stays under the codec, where it batches each
+// frame's header and payload reads.
+func negotiateServer(conn net.Conn) (*binServerCodec, error) {
 	br := bufio.NewReader(conn)
-	peek, err := br.Peek(len(wireMagic))
-	if err != nil {
+	var magic [len(wireMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, err
 	}
-	if bytes.Equal(peek, wireMagic[:]) {
-		if _, err := br.Discard(len(wireMagic)); err != nil {
-			return nil, err
-		}
-		if _, err := conn.Write(wireMagic[:]); err != nil {
-			return nil, err
-		}
-		return &binServerCodec{w: conn, r: br, frames: mempool.Frames}, nil
+	if magic != wireMagic {
+		return nil, ErrWireVersion
 	}
-	return &gobServerCodec{enc: gob.NewEncoder(conn), dec: gob.NewDecoder(br)}, nil
+	if _, err := conn.Write(wireMagic[:]); err != nil {
+		return nil, err
+	}
+	return &binServerCodec{w: conn, r: br, frames: mempool.Frames}, nil
 }
 
 // serverHits recycles the per-response record slices the answer paths
@@ -367,7 +359,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	codec, err := negotiateServer(conn)
 	if err != nil {
-		return // connection closed before the first message
+		return // closed early, or not a peer of this protocol version
 	}
 	for {
 		var req Request

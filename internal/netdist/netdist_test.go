@@ -13,7 +13,7 @@ import (
 	"fxdist/internal/query"
 )
 
-func buildFile(t *testing.T, n int) *mkhash.File {
+func buildFile(t testing.TB, n int) *mkhash.File {
 	t.Helper()
 	f := mkhash.MustNew(mkhash.Schema{
 		Fields: []string{"part", "supplier", "warehouse"},

@@ -46,7 +46,9 @@ type DriverConfig struct {
 	// Retries is the attempt count per control op (default 5); attempts
 	// back off exponentially from RetryBackoff (default 10ms). Rescales
 	// run under the same fault injector as queries, so transient device
-	// failures during migration are expected, not fatal.
+	// failures during migration are expected, not fatal. Cutover spends
+	// the budget once per pass and repeats passes while Run's context
+	// lives (see ErrPartialCutover).
 	Retries      int
 	RetryBackoff time.Duration
 	// FlushEvery is the journal flush cadence in completed buckets
@@ -266,10 +268,12 @@ func (d *Driver) Abort() {
 var ErrAborted = errors.New("rebalance: rescale aborted")
 
 // ErrPartialCutover is wrapped by Run when some devices cut over and
-// others stayed unreachable through the retry budget. The migration is
-// NOT rolled back — cutover is one-way once any device promotes — and
-// the journal stays at dual-read; re-running the driver replays the
-// idempotent cutover broadcast until the stragglers converge.
+// others were still unreachable when Run's context ended: Run keeps
+// replaying the idempotent cutover broadcast to the stragglers while
+// the context lives, so only an abort, a cancellation or a deadline
+// surfaces this error. The migration is NOT rolled back — cutover is
+// one-way once any device promotes — and the journal stays at
+// dual-read; re-running the driver resumes the replay.
 var ErrPartialCutover = errors.New("rebalance: cutover incomplete on some devices")
 
 // waitIfPaused blocks while the driver is paused.
@@ -412,23 +416,35 @@ func (d *Driver) run(ctx context.Context) error {
 	}
 
 	// Cutover: broadcast to the union. Retiring servers and fresh
-	// targets answer success without state, so replay after a crash
-	// converges. The broadcast runs under a background context (an
-	// abort arriving now must not strand half the fleet) and visits
-	// every device even after a failure, maximizing convergence.
+	// targets answer success without state, so a replay converges. Each
+	// pass runs under a background context (an abort arriving mid-pass
+	// must not strand half the fleet) and visits every pending device
+	// even after a failure. Cutover is one-way once any device promotes,
+	// so stragglers get the broadcast again, pass after pass (each
+	// attempt backs off inside retry), for as long as ctx lives.
 	d.setPhase(persist.RescaleDualRead, "guard passed; cutting over")
 	cctx := context.Background()
-	var cutFailed []int
-	var lastErr error
-	for dev := 0; dev < union; dev++ {
-		dev := dev
-		if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
-			cutFailed = append(cutFailed, dev)
-			lastErr = err
-		}
+	pending := make([]int, union)
+	for dev := range pending {
+		pending[dev] = dev
 	}
-	if len(cutFailed) > 0 {
-		return fmt.Errorf("%w: devices %v (last error: %v)", ErrPartialCutover, cutFailed, lastErr)
+	for {
+		var lastErr error
+		stragglers := pending[:0]
+		for _, dev := range pending {
+			dev := dev
+			if err := d.retry(cctx, func() error { return d.cfg.Transport.CutoverDevice(cctx, dev) }); err != nil {
+				stragglers = append(stragglers, dev)
+				lastErr = err
+			}
+		}
+		pending = stragglers
+		if len(pending) == 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w: devices %v (last error: %v)", ErrPartialCutover, pending, lastErr)
+		}
 	}
 	d.setPhase(persist.RescaleDone, "cutover complete")
 	d.journal(persist.RescaleDone)

@@ -241,6 +241,74 @@ func TestDriverRetriesTransientFaults(t *testing.T) {
 	}
 }
 
+// A straggler that fails cutover for longer than one retry budget is
+// replayed until it converges, instead of ending the run partial.
+func TestDriverReplaysCutoverToStragglers(t *testing.T) {
+	oldSpec, newSpec, parts, _ := growFixture(t)
+	ft := newFakeTransport(parts)
+	cutFails := 0
+	ft.fault = func(op string, dev int) error {
+		if op == "cutover" && dev == 3 && cutFails < 7 {
+			cutFails++
+			return errors.New("device 3 flapping")
+		}
+		return nil
+	}
+	d, err := NewDriver(DriverConfig{
+		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft,
+		Retries: 3, RetryBackoff: time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatalf("cutover straggler not replayed to convergence: %v", err)
+	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	for dev := 0; dev < 4; dev++ {
+		if !ft.cut[dev] {
+			t.Errorf("device %d never cut over", dev)
+		}
+	}
+}
+
+// A straggler that never comes back ends the run with ErrPartialCutover
+// once Run's context ends, with the other devices cut over and nothing
+// rolled back.
+func TestDriverPartialCutoverWhenContextEnds(t *testing.T) {
+	oldSpec, newSpec, parts, _ := growFixture(t)
+	ft := newFakeTransport(parts)
+	ft.fault = func(op string, dev int) error {
+		if op == "cutover" && dev == 3 {
+			return errors.New("device 3 partitioned")
+		}
+		return nil
+	}
+	d, err := NewDriver(DriverConfig{
+		OldSpec: oldSpec, NewSpec: newSpec, Transport: ft,
+		Retries: 2, RetryBackoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := d.Run(ctx); !errors.Is(err, ErrPartialCutover) {
+		t.Fatalf("Run returned %v, want ErrPartialCutover", err)
+	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	for dev := 0; dev < 3; dev++ {
+		if !ft.cut[dev] {
+			t.Errorf("device %d never cut over", dev)
+		}
+		if ft.aborted[dev] {
+			t.Errorf("device %d rolled back after a partial cutover", dev)
+		}
+	}
+}
+
 func TestDriverAbortRollsBack(t *testing.T) {
 	oldSpec, newSpec, parts, _ := growFixture(t)
 	ft := newFakeTransport(parts)
