@@ -227,7 +227,7 @@ func BenchmarkInverseMapping(b *testing.B) {
 	}
 }
 
-func benchCluster(b *testing.B) (*fxdist.Cluster, []fxdist.PartialMatch) {
+func benchCluster(b testing.TB) (*fxdist.Cluster, []fxdist.PartialMatch) {
 	b.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
 		{Name: "a", Cardinality: 500},

@@ -13,8 +13,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"time"
 )
 
 // Bench is one benchmark's folded result in a snapshot.
@@ -27,12 +30,62 @@ type Bench struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// Snapshot is one BENCH_<date>.json file.
+// Snapshot is one BENCH_<date>.json file. CPUModel and NProc record
+// the hardware it ran on; snapshots older than those fields leave them
+// empty.
 type Snapshot struct {
 	Date       string  `json:"date"`
 	Go         string  `json:"go"`
 	Commit     string  `json:"commit"`
+	CPUModel   string  `json:"cpu_model,omitempty"`
+	NProc      int     `json:"nproc,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
+}
+
+// Newest returns the newest snapshot among paths named
+// BENCH_<YYYY-MM-DD>[.<n>].json: latest date first, then highest
+// sequence number n, where a name without one is the day's first
+// (n = 1). Lexical order gets this wrong — it sorts
+// BENCH_2026-08-08.json after BENCH_2026-08-08.2.json.
+func Newest(paths []string) (string, error) {
+	best, bestDate, bestSeq := "", "", 0
+	for _, p := range paths {
+		date, seq, err := snapshotOrder(p)
+		if err != nil {
+			return "", err
+		}
+		if best == "" || date > bestDate || (date == bestDate && seq > bestSeq) {
+			best, bestDate, bestSeq = p, date, seq
+		}
+	}
+	if best == "" {
+		return "", fmt.Errorf("benchdiff: no snapshots given")
+	}
+	return best, nil
+}
+
+// snapshotOrder parses the date and sequence number out of a
+// BENCH_<YYYY-MM-DD>[.<n>].json path.
+func snapshotOrder(path string) (date string, seq int, err error) {
+	name := filepath.Base(path)
+	rest, ok := strings.CutPrefix(name, "BENCH_")
+	if ok {
+		rest, ok = strings.CutSuffix(rest, ".json")
+	}
+	if !ok {
+		return "", 0, fmt.Errorf("benchdiff: %s is not named BENCH_<date>[.<n>].json", path)
+	}
+	date, n, hasSeq := strings.Cut(rest, ".")
+	if _, err := time.Parse("2006-01-02", date); err != nil {
+		return "", 0, fmt.Errorf("benchdiff: %s: bad date: %w", path, err)
+	}
+	seq = 1
+	if hasSeq {
+		if seq, err = strconv.Atoi(n); err != nil || seq < 1 {
+			return "", 0, fmt.Errorf("benchdiff: %s: bad sequence number %q", path, n)
+		}
+	}
+	return date, seq, nil
 }
 
 // Load reads and decodes one snapshot file.
@@ -157,10 +210,23 @@ func frac(base, cur float64) float64 {
 	return (cur - base) / base
 }
 
+// hardware renders the snapshot's CPU model and count.
+func (s Snapshot) hardware() string {
+	model := s.CPUModel
+	if model == "" {
+		model = "unrecorded CPU"
+	}
+	if s.NProc == 0 {
+		return model
+	}
+	return fmt.Sprintf("%s ×%d", model, s.NProc)
+}
+
 // WriteText renders the comparison as an aligned table, regressions
 // marked with the gate they tripped.
 func WriteText(w io.Writer, base, cur Snapshot, deltas []Delta, th Thresholds) {
 	fmt.Fprintf(w, "base %s (%s)  vs  current %s (%s)\n", base.Date, base.Commit, cur.Date, cur.Commit)
+	fmt.Fprintf(w, "hardware: base %s  vs  current %s\n", base.hardware(), cur.hardware())
 	fmt.Fprintf(w, "gates: ns/op +%.0f%%, B/op +%.0f%%+%dB, allocs/op +%.0f%%\n",
 		th.NsFrac*100, th.BytesFrac*100, bytesSlack, th.AllocsFrac*100)
 	fmt.Fprintf(w, "%-45s %14s %14s %8s %12s %12s %8s %12s %12s %8s  %s\n",

@@ -142,17 +142,25 @@ func TestLoadRoundTrip(t *testing.T) {
 
 func TestLoadCommittedSnapshotFormat(t *testing.T) {
 	// The real snapshot format (awk-emitted by scripts/bench.sh) must
-	// decode: guard against the JSON field names drifting apart.
+	// decode: guard against the JSON field names drifting apart. The
+	// newest snapshot — the one CI gates against — records its hardware.
 	matches, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil || len(matches) == 0 {
 		t.Skipf("no committed BENCH_*.json snapshots: %v", err)
 	}
-	s, err := Load(matches[len(matches)-1])
+	newest, err := Newest(matches)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Benchmarks) == 0 || s.Date == "" {
-		t.Fatalf("snapshot %s decoded empty: %+v", matches[len(matches)-1], s)
+		t.Fatalf("snapshot %s decoded empty: %+v", newest, s)
+	}
+	if s.CPUModel == "" || s.NProc <= 0 {
+		t.Fatalf("snapshot %s records no hardware: cpu_model %q, nproc %d", newest, s.CPUModel, s.NProc)
 	}
 	for _, b := range s.Benchmarks {
 		if b.Name == "" || b.NsPerOp <= 0 {
@@ -184,5 +192,46 @@ func TestWriteTextMarksRegressions(t *testing.T) {
 	}
 	if strings.Count(out, "REGRESSED") != 2 {
 		t.Fatalf("want exactly 2 REGRESSED rows:\n%s", out)
+	}
+}
+
+func TestNewestOrdersByDateThenSequence(t *testing.T) {
+	paths := []string{
+		"BENCH_2026-08-05.4.json",
+		"BENCH_2026-08-08.json",
+		"BENCH_2026-08-08.2.json",
+	}
+	got, err := Newest(paths)
+	if err != nil || got != "BENCH_2026-08-08.2.json" {
+		t.Fatalf("Newest = %q, %v; want BENCH_2026-08-08.2.json", got, err)
+	}
+	// A name without a sequence number is the day's first, so it loses
+	// to .2 — but beats every earlier date, whatever its number.
+	got, err = Newest([]string{"dir/BENCH_2026-08-05.4.json", "dir/BENCH_2026-08-08.json"})
+	if err != nil || got != "dir/BENCH_2026-08-08.json" {
+		t.Fatalf("Newest = %q, %v; want dir/BENCH_2026-08-08.json", got, err)
+	}
+	for _, bad := range [][]string{
+		nil,
+		{"base.json"},
+		{"BENCH_2026-13-01.json"},
+		{"BENCH_2026-08-08.x.json"},
+		{"BENCH_2026-08-08.0.json"},
+	} {
+		if got, err := Newest(bad); err == nil {
+			t.Errorf("Newest(%q) = %q, want an error", bad, got)
+		}
+	}
+}
+
+func TestWriteTextPrintsHardware(t *testing.T) {
+	base := snap(Bench{Name: "BenchmarkOK", NsPerOp: 100})
+	cur := snap(Bench{Name: "BenchmarkOK", NsPerOp: 100})
+	cur.CPUModel, cur.NProc = "Example CPU @ 2.00GHz", 2
+	deltas, _ := Diff(base, cur, DefaultThresholds())
+	var sb strings.Builder
+	WriteText(&sb, base, cur, deltas, DefaultThresholds())
+	if want := "hardware: base unrecorded CPU  vs  current Example CPU @ 2.00GHz ×2"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("text output lacks %q:\n%s", want, sb.String())
 	}
 }

@@ -106,6 +106,17 @@ func (fs FileSystem) Linear(b []int) int {
 	return idx
 }
 
+// Strides returns each field's row-major stride in the linear index:
+// Linear(b) is the sum of b[i]·Strides()[i].
+func (fs FileSystem) Strides() []int {
+	st := make([]int, len(fs.Sizes))
+	for i, n := len(st)-1, 1; i >= 0; i-- {
+		st[i] = n
+		n *= fs.Sizes[i]
+	}
+	return st
+}
+
 // Coords converts a linear index back to bucket coordinates, appending to
 // buf (pass buf[:0] to reuse storage).
 func (fs FileSystem) Coords(idx int, buf []int) []int {

@@ -99,3 +99,18 @@ func TestLinearCoordsRoundTrip(t *testing.T) {
 		t.Errorf("Coords append semantics wrong: %v", out)
 	}
 }
+
+// Linear is the stride-weighted sum of the coordinates.
+func TestStridesWeighLinear(t *testing.T) {
+	fs := MustFileSystem([]int{4, 2, 8}, 4)
+	st := fs.Strides()
+	fs.EachBucket(func(b []int) {
+		sum := 0
+		for i, v := range b {
+			sum += v * st[i]
+		}
+		if sum != fs.Linear(b) {
+			t.Fatalf("strides %v weigh %v to %d, Linear gives %d", st, b, sum, fs.Linear(b))
+		}
+	})
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -173,13 +172,13 @@ func multisetDigest(recs []mkhash.Record) uint64 {
 	var sum uint64
 	var buf [10]byte
 	for _, r := range recs {
-		h := fnv.New64a()
+		h := mkhash.FNVOffset64
 		for _, f := range r {
 			n := putUvarint(buf[:], uint64(len(f)))
-			h.Write(buf[:n]) //nolint:errcheck // hash.Hash never errors
-			h.Write([]byte(f))
+			h = mkhash.FNV1a(h, buf[:n])
+			h = mkhash.FNV1a(h, f)
 		}
-		sum += h.Sum64()
+		sum += h
 	}
 	return sum
 }

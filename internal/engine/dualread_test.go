@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,5 +205,37 @@ func TestSortedRecordsCanonical(t *testing.T) {
 	// The input is untouched.
 	if !reflect.DeepEqual(in, []mkhash.Record{{"b"}, {"a", "z"}, {"a"}}) {
 		t.Fatal("SortedRecords mutated its input")
+	}
+}
+
+// TestMultisetDigestMatchesFNV pins the inlined digest to its hash/fnv
+// form: per record, FNV-1a 64 over each field's uvarint length and then
+// its bytes, summed mod 2^64.
+func TestMultisetDigestMatchesFNV(t *testing.T) {
+	reference := func(recs []mkhash.Record) uint64 {
+		var sum uint64
+		var buf [binary.MaxVarintLen64]byte
+		for _, r := range recs {
+			h := fnv.New64a()
+			for _, f := range r {
+				h.Write(buf[:binary.PutUvarint(buf[:], uint64(len(f)))])
+				h.Write([]byte(f))
+			}
+			sum += h.Sum64()
+		}
+		return sum
+	}
+	long := strings.Repeat("long field ", 20) // length prefix > 127: two varint bytes
+	cases := [][]mkhash.Record{
+		nil,
+		{{}},
+		{{""}},
+		{{"ab", "c"}, {"x"}},
+		{{"unicode ✓", "\xff\xfe\x00"}, {long, ""}},
+	}
+	for _, recs := range cases {
+		if got, want := multisetDigest(recs), reference(recs); got != want {
+			t.Errorf("multisetDigest(%q) = %#x, hash/fnv form gives %#x", recs, got, want)
+		}
 	}
 }

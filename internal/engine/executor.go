@@ -322,7 +322,9 @@ func PlanFromContext(ctx context.Context) *plancache.Plan {
 // cancelled) simply abandon the call; the remaining tasks write into the
 // call's private slices and exit.
 type call struct {
-	started time.Time // retrieval entry, plan included
+	exec    *Executor       // the executor that launched the fan-out
+	ctx     context.Context // fan-out context: caller's, plus span and plan
+	started time.Time       // retrieval entry, plan included
 	span    *obs.Span
 	q       query.Query
 	pm      mkhash.PartialMatch
@@ -403,8 +405,9 @@ func (e *Executor) start(pm mkhash.PartialMatch, caller string) (*call, error) {
 }
 
 // launch starts the fan-out for a planned call and returns without
-// waiting: every device's scan is queued on the shared pool. The plan's
-// tuple groups (when compiled) travel to the devices via the context.
+// waiting: every device's scan is queued on the shared pool as a typed
+// task. The plan's tuple groups (when compiled) travel to the devices
+// via the context, which the call carries.
 func (e *Executor) launch(ctx context.Context, c *call) {
 	m := len(e.devs)
 	c.answers = e.answersP().Get(m)
@@ -418,28 +421,33 @@ func (e *Executor) launch(ctx context.Context, c *call) {
 	}
 	c.pending.Store(int64(m))
 	ctx = ContextWithSpan(ctx, c.span)
-	ctx = ContextWithPlan(ctx, c.plan)
+	c.ctx = ContextWithPlan(ctx, c.plan)
+	c.exec = e
 	for dev := 0; dev < m; dev++ {
-		dev := dev
-		e.pool.submit(func() {
-			defer func() {
-				if c.pending.Add(-1) == 0 {
-					close(c.done)
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				c.errs[dev] = err
-				return
-			}
-			if c.instr {
-				start := time.Now()
-				c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
-				c.devs[dev].Scan = time.Since(start)
-				return
-			}
-			c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
-		})
+		e.pool.submit(task{c: c, dev: dev})
 	}
+}
+
+// runTask scans one device for c on a pool worker and counts the task
+// down, closing done after the last one.
+func (e *Executor) runTask(c *call, dev int) {
+	defer func() {
+		if c.pending.Add(-1) == 0 {
+			close(c.done)
+		}
+	}()
+	ctx := c.ctx
+	if err := ctx.Err(); err != nil {
+		c.errs[dev] = err
+		return
+	}
+	if c.instr {
+		start := time.Now()
+		c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
+		c.devs[dev].Scan = time.Since(start)
+		return
+	}
+	c.answers[dev], c.errs[dev] = e.scanDevice(ctx, dev, c.q, c.pm)
 }
 
 // wait blocks until every device task finished or ctx is cancelled, then

@@ -81,11 +81,18 @@ type Stats struct {
 // elements are cleared on Put so stale headers cannot retain dead
 // heap. A nil *SlicePool is a valid pass-through: Get allocates, Put
 // drops.
+//
+// A sync.Pool stores interface values, so a slab travels boxed in a
+// *[]T holder. Holders are recycled through their own pool: Get empties
+// the holder it unboxed and parks it, Put reuses a parked one, so a
+// warm Get/Put round trip allocates nothing. An empty holder never
+// pins a slab.
 type SlicePool[T any] struct {
 	name     string
 	clear    bool
 	elemSize uintptr
 	classes  [numClasses]sync.Pool
+	holders  sync.Pool // empty *[]T boxes
 
 	gets, misses, oversize, puts, drops, recycledB atomic.Uint64
 }
@@ -123,7 +130,10 @@ func (p *SlicePool[T]) Get(n int) []T {
 	}
 	if v := p.classes[c].Get(); v != nil {
 		p.gets.Add(1)
-		s := *(v.(*[]T))
+		h := v.(*[]T)
+		s := *h
+		*h = nil
+		p.holders.Put(h)
 		nb := uint64(cap(s)) * uint64(p.elemSize)
 		p.recycledB.Add(nb)
 		recycled(nb)
@@ -150,7 +160,12 @@ func (p *SlicePool[T]) Put(s []T) {
 		clear(s)
 	}
 	p.puts.Add(1)
-	p.classes[c].Put(&s)
+	h, _ := p.holders.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s
+	p.classes[c].Put(h)
 }
 
 // AppendOne appends v to s, growing through the pool instead of the

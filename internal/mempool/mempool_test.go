@@ -2,6 +2,9 @@ package mempool
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 )
 
@@ -192,4 +195,83 @@ func TestReportIncludesRegisteredPools(t *testing.T) {
 	if !found {
 		t.Fatalf("pool %q missing from Report()", name)
 	}
+}
+
+// TestWarmRoundTripAllocatesNothing: once a class and the holder pool
+// are warm, Get/Put and AppendOne growth recycle instead of allocating.
+// GC is off so a collection clearing the pools cannot cause a miss.
+func TestWarmRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p := NewSlicePool[string]("test.alloc.roundtrip")
+	if n := testing.AllocsPerRun(100, func() { p.Put(p.Get(100)) }); n != 0 {
+		t.Errorf("warm Get/Put: %.1f allocs/op, want 0", n)
+	}
+	q := NewSlicePool[int]("test.alloc.appendone")
+	grow := func() {
+		var s []int
+		for i := 0; i < 1000; i++ {
+			s = q.AppendOne(s, i)
+		}
+		q.Put(s)
+	}
+	if n := testing.AllocsPerRun(100, grow); n != 0 {
+		t.Errorf("warm AppendOne growth to 1000: %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestHolderReuseNeverAliasesLiveSlabs hammers one pool from many
+// goroutines (run it under -race). Every checked-out slab must be
+// distinct from every other checked-out slab: a recycled holder that
+// still pointed at a live slab, or one holder handed to two Gets,
+// would surface as two goroutines owning the same backing array — seen
+// both in the live-set check and as a foreign marker in the slab.
+func TestHolderReuseNeverAliasesLiveSlabs(t *testing.T) {
+	p := NewSlicePool[int]("test.hammer")
+	var mu sync.Mutex
+	live := make(map[*int]int)
+	checkOut := func(s []int, g int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		key := &s[:cap(s)][0]
+		if other, ok := live[key]; ok {
+			t.Errorf("goroutine %d got a slab goroutine %d still holds", g, other)
+			return false
+		}
+		live[key] = g
+		return true
+	}
+	checkIn := func(s []int) {
+		mu.Lock()
+		delete(live, &s[:cap(s)][0])
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for g := 1; g <= 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				s := p.Get(64 + (i+g)%200)
+				if !checkOut(s, g) {
+					return
+				}
+				for j := range s {
+					s[j] = g
+				}
+				runtime.Gosched()
+				for j, v := range s {
+					if v != g {
+						t.Errorf("goroutine %d: slot %d overwritten with %d", g, j, v)
+						return
+					}
+				}
+				checkIn(s)
+				p.Put(s)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

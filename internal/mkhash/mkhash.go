@@ -14,7 +14,6 @@ package mkhash
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"fxdist/internal/decluster"
 	"fxdist/internal/query"
@@ -54,15 +53,32 @@ func (s Schema) Validate() error {
 // depth bits. Implementations must be deterministic.
 type FieldHash func(value string) uint64
 
+// FNV-1a-64 parameters (the offset basis and prime of hash/fnv's
+// New64a).
+const (
+	FNVOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// FNV1a folds the bytes of s into the FNV-1a-64 state h; start from
+// FNVOffset64. It is hash/fnv's New64a written inline, so hashing a
+// string allocates nothing and needs no []byte conversion.
+func FNV1a[S ~string | ~[]byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // DefaultHash is FNV-1a over the value bytes, salted with the field index
-// so equal values in different fields hash independently.
+// so equal values in different fields hash independently: the hash of
+// the two salt bytes (low, high) followed by the value.
 func DefaultHash(fieldIdx int) FieldHash {
+	saltBytes := [2]byte{byte(fieldIdx), byte(fieldIdx >> 8)}
+	salt := FNV1a(FNVOffset64, saltBytes[:])
 	return func(value string) uint64 {
-		h := fnv.New64a()
-		// Salt with the field index byte-wise.
-		h.Write([]byte{byte(fieldIdx), byte(fieldIdx >> 8)})
-		h.Write([]byte(value))
-		return h.Sum64()
+		return FNV1a(salt, value)
 	}
 }
 

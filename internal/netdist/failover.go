@@ -63,9 +63,9 @@ func (s *Server) answerAs(req Request) Response {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: %d value filters for %d fields", len(req.Values), s.fs.NumFields())}
 	}
 	resp := Response{ID: req.ID}
-	s.im.EachOnDevice(q, s.backupFor, func(coords []int) {
+	s.im.EachLinearOnDevice(q, s.backupFor, func(lin int) {
 		resp.Buckets++
-		for _, r := range s.backup[s.fs.Linear(coords)] {
+		for _, r := range s.backup[lin] {
 			resp.Scanned++
 			if valueMatch(req, r) {
 				resp.Records = serverHits.AppendOne(resp.Records, r)

@@ -457,9 +457,9 @@ func (s *Server) answer(req Request) Response {
 		return Response{ID: req.ID, Err: fmt.Sprintf("netdist: %d value filters for %d fields", len(req.Values), fs.NumFields())}
 	}
 	resp := Response{ID: req.ID}
-	im.EachOnDevice(q, s.deviceID, func(coords []int) {
+	im.EachLinearOnDevice(q, s.deviceID, func(lin int) {
 		resp.Buckets++
-		for _, r := range s.buckets[fs.Linear(coords)] {
+		for _, r := range s.buckets[lin] {
 			resp.Scanned++
 			if valueMatch(req, r) {
 				resp.Records = serverHits.AppendOne(resp.Records, r)

@@ -47,17 +47,17 @@ type Plan struct {
 
 	alloc decluster.GroupAllocator
 	fs    decluster.FileSystem
-	// solved is the field the device equation is solved for (the largest
-	// unspecified field, matching InverseMapper), -1 when Unspec is empty.
-	solved int
-	// solvedSlot is solved's position within Unspec.
-	solvedSlot int
-	// tuples[g] flattens (len(Unspec)-wide) the free-field value tuples
-	// whose folded contribution is g, in the exact order InverseMapper
-	// enumerates them: rest fields row-major, solved-field preimages
-	// ascending. nil on summary-only plans (no allocator, or RQ past the
-	// compilation cap).
-	tuples [][]int32
+	// strides[i] is field i's row-major stride in the linear bucket
+	// index (decluster.FileSystem.Linear).
+	strides []int
+	// offs[g] lists, for every free-field value tuple whose folded
+	// contribution is g, the tuple's share of the linear bucket index
+	// (the sum of value × stride over the unspecified fields), in the
+	// exact order InverseMapper enumerates them: the other free fields
+	// row-major, the solved field's preimages ascending. All groups are
+	// carved from one slab. nil on summary-only plans (no allocator, or
+	// RQ past the compilation cap).
+	offs [][]int
 	// bytes approximates the plan's heap footprint, for cache accounting.
 	bytes int
 }
@@ -84,7 +84,6 @@ func Summary(q query.Query, rq, m int) *Plan {
 		RQ:     rq,
 		M:      m,
 		Bound:  Bound(rq, m),
-		solved: -1,
 		bytes:  64,
 	}
 }
@@ -102,64 +101,78 @@ func Compile(alloc decluster.GroupAllocator, q query.Query, maxTuples int) *Plan
 	}
 	p.alloc = alloc
 	p.fs = fs
-	k := len(p.Unspec)
-	if k == 0 {
-		p.tuples = make([][]int32, fs.M)
+	p.strides = fs.Strides()
+	p.offs = make([][]int, fs.M)
+	p.bytes = 64 + 8*len(p.Unspec) + 8*len(p.strides) + 24*fs.M
+	if len(p.Unspec) == 0 {
 		return p
 	}
 
 	// Mirror InverseMapper's field split: solve for the (first) largest
 	// unspecified field, enumerate the rest row-major. The enumeration
-	// order inside each group must match EachOnDevice exactly so cached
-	// and uncached retrievals return records in the same order.
+	// order inside each group must match InverseMapper exactly so cached
+	// and uncached retrievals return records in the same order. One
+	// counting pass sizes the groups, so the second pass fills one
+	// exact-size slab instead of growing M slices.
 	solvedSlot := 0
 	for j, i := range p.Unspec {
 		if fs.Sizes[i] > fs.Sizes[p.Unspec[solvedSlot]] {
 			solvedSlot = j
 		}
 	}
-	p.solved = p.Unspec[solvedSlot]
-	p.solvedSlot = solvedSlot
-	rest := make([]int, 0, k-1)
-	restSlots := make([]int, 0, k-1)
-	for j, i := range p.Unspec {
-		if j != solvedSlot {
-			rest = append(rest, i)
-			restSlots = append(restSlots, j)
-		}
+	rest := make([]int, 0, len(p.Unspec)-1)
+	rest = append(rest, p.Unspec[:solvedSlot]...)
+	rest = append(rest, p.Unspec[solvedSlot+1:]...)
+	w := walker{p: p, g: alloc.Op(), rest: rest, solved: p.Unspec[solvedSlot], counts: make([]int, fs.M)}
+	w.walk(0, 0, 0)
+	slab := make([]int, rq)
+	at := 0
+	for c, n := range w.counts {
+		p.offs[c] = slab[at : at : at+n]
+		at += n
 	}
-
-	g := alloc.Op()
-	tuples := make([][]int32, fs.M)
-	buf := make([]int32, k)
-	var rec func(j, acc int)
-	rec = func(j, acc int) {
-		if j == len(rest) {
-			for v := 0; v < fs.Sizes[p.solved]; v++ {
-				buf[solvedSlot] = int32(v)
-				c := g.Combine(acc, alloc.Contribution(p.solved, v), fs.M)
-				tuples[c] = append(tuples[c], buf...)
-			}
-			return
-		}
-		i := rest[j]
-		for v := 0; v < fs.Sizes[i]; v++ {
-			buf[restSlots[j]] = int32(v)
-			rec(j+1, g.Combine(acc, alloc.Contribution(i, v), fs.M))
-		}
-	}
-	rec(0, 0)
-	p.tuples = tuples
-	p.bytes = 64 + 8*len(p.Unspec)
-	for _, ts := range tuples {
-		p.bytes += 24 + 4*len(ts)
-	}
+	w.counts = nil
+	w.walk(0, 0, 0)
+	p.bytes += 8 * rq
 	return p
+}
+
+// walker enumerates a plan's free-field tuples in InverseMapper order.
+// With counts set it only counts each group's tuples; otherwise it
+// appends each tuple's linear offset to its group.
+type walker struct {
+	p      *Plan
+	g      decluster.Group
+	rest   []int // free fields other than solved, in field order
+	solved int
+	counts []int
+}
+
+// walk fixes rest[j:] row-major and then the solved field, acc being
+// the folded contribution and off the linear offset of the values fixed
+// so far.
+func (w *walker) walk(j, acc, off int) {
+	p := w.p
+	if j == len(w.rest) {
+		for v := 0; v < p.fs.Sizes[w.solved]; v++ {
+			c := w.g.Combine(acc, p.alloc.Contribution(w.solved, v), p.fs.M)
+			if w.counts != nil {
+				w.counts[c]++
+			} else {
+				p.offs[c] = append(p.offs[c], off+v*p.strides[w.solved])
+			}
+		}
+		return
+	}
+	i := w.rest[j]
+	for v := 0; v < p.fs.Sizes[i]; v++ {
+		w.walk(j+1, w.g.Combine(acc, p.alloc.Contribution(i, v), p.fs.M), off+v*p.strides[i])
+	}
 }
 
 // Ready reports whether the plan carries compiled tuple groups — i.e.
 // whether devices can enumerate from it instead of the InverseMapper.
-func (p *Plan) Ready() bool { return p.tuples != nil }
+func (p *Plan) Ready() bool { return p.offs != nil }
 
 // Bytes approximates the plan's heap footprint.
 func (p *Plan) Bytes() int { return p.bytes }
@@ -170,61 +183,66 @@ func (p *Plan) Tuples() int {
 		return 0
 	}
 	n := 0
-	for _, ts := range p.tuples {
-		n += len(ts) / len(p.Unspec)
+	for _, offs := range p.offs {
+		n += len(offs)
 	}
 	return n
 }
 
-// residual returns the tuple group device dev serves for query q: with
-// h the fold of q's specified contributions, dev = h · c_free, so
-// c_free = h⁻¹ · dev.
-func (p *Plan) residual(q query.Query, dev int) int {
+// locate returns the tuple group device dev serves for query q and the
+// linear index of q's specified values. With h the fold of q's
+// specified contributions, dev = h · c_free, so c_free = h⁻¹ · dev.
+func (p *Plan) locate(q query.Query, dev int) (group, base int) {
 	g := p.alloc.Op()
 	h := 0
 	for i, v := range q.Spec {
 		if v != query.Unspecified {
 			h = g.Combine(h, p.alloc.Contribution(i, v), p.fs.M)
+			base += v * p.strides[i]
 		}
 	}
-	return g.Combine(g.Invert(h, p.fs.M), dev, p.fs.M)
+	return g.Combine(g.Invert(h, p.fs.M), dev, p.fs.M), base
 }
 
-// EachOnDevice calls fn for every bucket of R(q) on device dev, in the
-// same order InverseMapper.EachOnDevice produces them. The slice passed
-// to fn is reused; copy to retain. q must have the plan's shape and be
-// in range (engine queries are, by construction from the schema).
-func (p *Plan) EachOnDevice(q query.Query, dev int, fn func(bucket []int)) {
-	c := p.residual(q, dev)
-	b := make([]int, len(q.Spec))
-	copy(b, q.Spec)
-	k := len(p.Unspec)
-	if k == 0 {
+// EachLinearOnDevice calls fn with the linear bucket index
+// (decluster.FileSystem.Linear) of every bucket of R(q) on device dev,
+// in the same order InverseMapper.EachLinearOnDevice produces them. It
+// allocates nothing. q must have the plan's shape and be in range
+// (engine queries are, by construction from the schema).
+func (p *Plan) EachLinearOnDevice(q query.Query, dev int, fn func(lin int)) {
+	c, base := p.locate(q, dev)
+	if len(p.Unspec) == 0 {
 		// Fully specified query: the single qualified bucket lives on
 		// device h, i.e. where the residual is the identity.
 		if c == 0 {
-			fn(b)
+			fn(base)
 		}
 		return
 	}
-	ts := p.tuples[c]
-	for off := 0; off < len(ts); off += k {
-		for j, i := range p.Unspec {
-			b[i] = int(ts[off+j])
-		}
-		fn(b)
+	for _, off := range p.offs[c] {
+		fn(base + off)
 	}
+}
+
+// EachOnDevice is EachLinearOnDevice with each bucket as its coordinate
+// vector. The slice passed to fn is reused; copy to retain.
+func (p *Plan) EachOnDevice(q query.Query, dev int, fn func(bucket []int)) {
+	b := make([]int, 0, len(q.Spec))
+	p.EachLinearOnDevice(q, dev, func(lin int) {
+		b = p.fs.Coords(lin, b[:0])
+		fn(b)
+	})
 }
 
 // CountOnDevice returns r_dev(q) — the device's qualified-bucket count —
 // without materialising buckets.
 func (p *Plan) CountOnDevice(q query.Query, dev int) int {
-	k := len(p.Unspec)
-	if k == 0 {
-		if p.residual(q, dev) == 0 {
+	c, _ := p.locate(q, dev)
+	if len(p.Unspec) == 0 {
+		if c == 0 {
 			return 1
 		}
 		return 0
 	}
-	return len(p.tuples[p.residual(q, dev)]) / k
+	return len(p.offs[c])
 }

@@ -96,7 +96,7 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	// plain heap the results own outright.
 	b := mempool.NewRecordBuilder(c.arena)
 	var err error
-	eachOnDevice(ctx, c.im, q, d.dev, func(coords []int) {
+	eachOnDevice(ctx, c.im, q, d.dev, func(lin int) {
 		if err != nil {
 			return
 		}
@@ -104,7 +104,7 @@ func (d durDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 			return
 		}
 		ans.Buckets++
-		err = c.stores[d.dev].ScanInto(uint32(c.fs.Linear(coords)), b, func(r mkhash.Record) error {
+		err = c.stores[d.dev].ScanInto(uint32(lin), b, func(r mkhash.Record) error {
 			ans.Records++
 			if engine.Matches(pm, r) {
 				ans.Hits = c.hits.AppendOne(ans.Hits, r)

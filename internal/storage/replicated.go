@@ -100,18 +100,20 @@ func (d replDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMa
 	var ans engine.Answer
 	store := c.devs[d.dev]
 	var err error
-	serve := func(coords []int) {
+	coords := make([]int, 0, c.fs.NumFields())
+	serve := func(lin int) {
 		if err != nil {
 			return
 		}
 		if err = ctx.Err(); err != nil {
 			return
 		}
+		coords = c.fs.Coords(lin, coords[:0])
 		if c.placement.Server(coords) != d.dev {
 			return
 		}
 		ans.Buckets++
-		for _, r := range store.buckets[c.fs.Linear(coords)] {
+		for _, r := range store.buckets[lin] {
 			ans.Records++
 			if engine.Matches(pm, r) {
 				ans.Hits = c.hits.AppendOne(ans.Hits, r)

@@ -133,7 +133,7 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	var ans engine.Answer
 	store := d.c.devs[d.dev]
 	var err error
-	eachOnDevice(ctx, d.c.im, q, d.dev, func(coords []int) {
+	eachOnDevice(ctx, d.c.im, q, d.dev, func(lin int) {
 		if err != nil {
 			return
 		}
@@ -141,7 +141,7 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 			return
 		}
 		ans.Buckets++
-		for _, r := range store.buckets[d.c.fs.Linear(coords)] {
+		for _, r := range store.buckets[lin] {
 			ans.Records++
 			if engine.Matches(pm, r) {
 				ans.Hits = d.c.hits.AppendOne(ans.Hits, r)
@@ -155,16 +155,17 @@ func (d memDevice) Scan(ctx context.Context, q query.Query, pm mkhash.PartialMat
 	return ans, nil
 }
 
-// eachOnDevice enumerates q's qualified buckets on dev from the cached
-// plan the executor put in ctx when one is compiled, falling back to
-// the per-call inverse-mapper walk otherwise. Both produce buckets in
-// the same order, so cached and uncached retrievals are byte-identical.
-func eachOnDevice(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, fn func(bucket []int)) {
+// eachOnDevice enumerates the linear indexes of q's qualified buckets
+// on dev from the cached plan the executor put in ctx when one is
+// compiled, falling back to the per-call inverse-mapper walk otherwise.
+// Both produce buckets in the same order, so cached and uncached
+// retrievals are byte-identical.
+func eachOnDevice(ctx context.Context, im *query.InverseMapper, q query.Query, dev int, fn func(lin int)) {
 	if p := engine.PlanFromContext(ctx); p != nil {
-		p.EachOnDevice(q, dev, fn)
+		p.EachLinearOnDevice(q, dev, fn)
 		return
 	}
-	im.EachOnDevice(q, dev, fn)
+	im.EachLinearOnDevice(q, dev, fn)
 }
 
 // M returns the device count.

@@ -1,6 +1,8 @@
 package fxdist_test
 
 import (
+	"context"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -266,4 +268,35 @@ func TestArenaRetrieveReleaseHammer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterRetrieveAllocBudget holds the memory backend's retrieval
+// to its allocation budget on the BenchmarkClusterRetrieve fixture: a
+// warm retrieval (plan cached, pools and worker queue grown) allocates
+// only what escapes to the caller plus the per-call bookkeeping. GC is
+// off so a collection clearing the pools cannot cause a miss.
+func TestClusterRetrieveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	const budget = 45
+	cluster, pms := benchCluster(t)
+	ctx := context.Background()
+	for _, pm := range pms {
+		if _, err := cluster.RetrieveContext(ctx, pm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	i := 0
+	n := testing.AllocsPerRun(len(pms), func() {
+		if _, err := cluster.RetrieveContext(ctx, pms[i%len(pms)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if n > budget {
+		t.Fatalf("Cluster.RetrieveContext: %.1f allocs/op, budget %d", n, budget)
+	}
+	t.Logf("Cluster.RetrieveContext: %.1f allocs/op (budget %d)", n, budget)
 }

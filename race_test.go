@@ -1,0 +1,7 @@
+//go:build race
+
+package fxdist_test
+
+// raceEnabled reports a -race build, where sync.Pool drops a share of
+// Puts on purpose, so allocation budgets cannot hold.
+const raceEnabled = true

@@ -40,10 +40,19 @@ go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" -ben
 
 GOVERSION=$(go version | sed 's/^go version //')
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# A snapshot of uncommitted changes says so.
+if [ "$COMMIT" != unknown ] && ! git diff --quiet HEAD -- 2>/dev/null; then
+	COMMIT="$COMMIT-dirty"
+fi
+# The hardware the numbers come from: wall times only compare on the
+# same CPU model and count.
+CPUMODEL=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -1 | tr -d '"\\')
+[ -n "$CPUMODEL" ] || CPUMODEL=$(uname -m)
+NPROC=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
 
 # Fold repeated -count runs of each benchmark into mean ns/op, B/op,
 # allocs/op, and emit one JSON object per benchmark.
-awk -v date="$DATE" -v gover="$GOVERSION" -v commit="$COMMIT" '
+awk -v date="$DATE" -v gover="$GOVERSION" -v commit="$COMMIT" -v cpu="$CPUMODEL" -v nproc="$NPROC" '
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)          # strip -GOMAXPROCS suffix
@@ -60,6 +69,8 @@ END {
 	printf "  \"date\": \"%s\",\n", date
 	printf "  \"go\": \"%s\",\n", gover
 	printf "  \"commit\": \"%s\",\n", commit
+	printf "  \"cpu_model\": \"%s\",\n", cpu
+	printf "  \"nproc\": %d,\n", nproc
 	printf "  \"benchmarks\": [\n"
 	n = 0
 	for (name in runs) order[++n] = name
