@@ -100,6 +100,9 @@ func (c *Client) call(ctx context.Context, method string, params any, out any) e
 	}
 }
 
+// maxResponseBytes bounds one HTTP response body.
+const maxResponseBytes = 64 << 20
+
 // callOnce runs one JSON-RPC round trip.
 func (c *Client) callOnce(ctx context.Context, method string, params any, out any) error {
 	var raw json.RawMessage
@@ -134,12 +137,49 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 		return classifyTransport(ctx, err)
 	}
 	defer hres.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hres.Body, 64<<20))
+	data, err := readBody(hres, maxResponseBytes)
 	if err != nil {
+		if errors.As(err, new(errTooLarge)) {
+			return fxdist.NewError(fxdist.ErrCodeInternal, fmt.Sprintf("HTTP %d: %v", hres.StatusCode, err))
+		}
 		return classifyTransport(ctx, err)
 	}
-	var res Response
-	if err := json.Unmarshal(data, &res); err != nil {
+	return decodeResponse(hres, data, out)
+}
+
+// errTooLarge reports a response body over the client's limit.
+type errTooLarge struct{ limit int64 }
+
+func (e errTooLarge) Error() string {
+	return fmt.Sprintf("response exceeded %d MiB", e.limit>>20)
+}
+
+// readBody reads a response body of at most limit bytes into one
+// buffer, sized from Content-Length when the server sent one.
+func readBody(res *http.Response, limit int64) ([]byte, error) {
+	if res.ContentLength > limit {
+		return nil, errTooLarge{limit}
+	}
+	if res.ContentLength >= 0 {
+		data := make([]byte, res.ContentLength)
+		_, err := io.ReadFull(res.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(res.Body, limit+1))
+	if int64(len(data)) > limit {
+		return nil, errTooLarge{limit}
+	}
+	return data, err
+}
+
+// decodeResponse decodes a response body into out, folding every
+// failure onto the taxonomy: an error frame through ErrorObject.Err, a
+// body that is no JSON-RPC envelope through its HTTP status, and a
+// result that does not fit out as an internal error.
+func decodeResponse(hres *http.Response, data []byte, out any) error {
+	result, eobj, ok := envelope(data)
+	switch {
+	case !ok:
 		// No JSON-RPC envelope at all: surface the HTTP status.
 		e := fxdist.NewError(fxdist.ErrCodeInternal,
 			fmt.Sprintf("HTTP %d: %.200s", hres.StatusCode, data))
@@ -148,18 +188,24 @@ func (c *Client) callOnce(ctx context.Context, method string, params any, out an
 			e.RetryAfter = ra
 		}
 		return e
-	}
-	if res.Error != nil {
-		e := res.Error.Err()
+	case eobj != nil:
+		e := eobj.Err()
 		if e.RetryAfter == 0 {
 			e.RetryAfter = retryAfterHeader(hres)
 		}
 		return e
-	}
-	if out == nil {
+	case out == nil:
 		return nil
+	case result == nil:
+		return fxdist.NewError(fxdist.ErrCodeInternal, "malformed result: no result member")
 	}
-	if err := json.Unmarshal(res.Result, out); err != nil {
+	var err error
+	if u, ok := out.(json.Unmarshaler); ok {
+		err = u.UnmarshalJSON(result)
+	} else {
+		err = json.Unmarshal(result, out)
+	}
+	if err != nil {
 		return fxdist.NewError(fxdist.ErrCodeInternal, "malformed result: "+err.Error())
 	}
 	return nil

@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -157,5 +160,125 @@ func TestRetryOn429ContextCancel(t *testing.T) {
 	var fe *fxdist.Error
 	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeTimeout {
 		t.Fatalf("got %v, want timeout from the canceled wait", err)
+	}
+}
+
+// staticServer answers every call with the same status, headers and
+// body.
+func staticServer(t *testing.T, status int, header http.Header, body string) *Client {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for k, v := range header {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(status)
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// TestErrorClassification pins how each kind of answer folds onto the
+// taxonomy: a result of the wrong shape is an internal error, a
+// non-JSON rejection keeps its Retry-After, and an error frame comes
+// back through ErrorObject.Err.
+func TestErrorClassification(t *testing.T) {
+	ctx := context.Background()
+	query := map[string]string{"part": "p1"}
+	frame := func(e *fxdist.Error) string {
+		b, err := json.Marshal(Response{JSONRPC: "2.0", ID: json.RawMessage("1"), Error: FromError(e)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	device := fxdist.NewError(fxdist.ErrCodeDeviceFailure, "device gone")
+	device.Device, device.TraceID = 3, 77
+	limited := fxdist.NewError(fxdist.ErrCodeRateLimited, "slow down")
+	retryAfter := http.Header{"Retry-After": {"2"}}
+
+	cases := []struct {
+		name    string
+		status  int
+		header  http.Header
+		body    string
+		call    func(*Client) error
+		code    fxdist.ErrorCode
+		message string
+		retry   time.Duration
+		device  int
+	}{
+		{name: "retrieve result of the wrong type", status: 200, body: `{"jsonrpc":"2.0","id":1,"result":"oops"}`,
+			code: fxdist.ErrCodeInternal, message: "malformed result: "},
+		{name: "retrieve records of the wrong type", status: 200, body: `{"jsonrpc":"2.0","id":1,"result":{"records":[[1]]}}`,
+			code: fxdist.ErrCodeInternal, message: "malformed result: "},
+		{name: "explain result of the wrong type", status: 200, body: `{"jsonrpc":"2.0","id":1,"result":[]}`,
+			call: func(c *Client) error { _, err := c.Explain(ctx, query); return err },
+			code: fxdist.ErrCodeInternal, message: "malformed result: "},
+		{name: "no result member", status: 200, body: `{"jsonrpc":"2.0","id":1}`,
+			code: fxdist.ErrCodeInternal, message: "malformed result: "},
+		{name: "non-JSON 429 with Retry-After", status: 429, header: retryAfter, body: "too many requests\n",
+			code: fxdist.ErrCodeOverloaded, message: "HTTP 429: too many requests", retry: 2 * time.Second},
+		{name: "non-JSON 502", status: 502, body: "<html>bad gateway</html>",
+			code: fxdist.ErrCodeInternal, message: "HTTP 502: <html>"},
+		{name: "jsonrpc member of the wrong type", status: 200, body: `{"jsonrpc":2,"id":1,"result":{}}`,
+			code: fxdist.ErrCodeInternal, message: "HTTP 200: "},
+		{name: "error frame", status: 200, body: frame(device),
+			code: fxdist.ErrCodeDeviceFailure, message: "device gone", device: 3},
+		{name: "error frame with the hint in the header", status: 429, header: retryAfter, body: frame(limited),
+			code: fxdist.ErrCodeRateLimited, message: "slow down", retry: 2 * time.Second},
+		{name: "error member of the wrong type", status: 200, body: `{"jsonrpc":"2.0","id":1,"error":"boom"}`,
+			code: fxdist.ErrCodeInternal, message: "HTTP 200: "},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := staticServer(t, tc.status, tc.header, tc.body)
+			call := tc.call
+			if call == nil {
+				call = func(c *Client) error { _, err := c.Retrieve(ctx, query); return err }
+			}
+			var fe *fxdist.Error
+			if err := call(c); !errors.As(err, &fe) {
+				t.Fatalf("got %T %v, want *fxdist.Error", err, err)
+			}
+			if fe.Code != tc.code || !strings.HasPrefix(fe.Message, tc.message) || fe.RetryAfter != tc.retry {
+				t.Fatalf("got %s %q retry %v, want %s %q... retry %v", fe.Code, fe.Message, fe.RetryAfter, tc.code, tc.message, tc.retry)
+			}
+			if tc.device != 0 && (fe.Device != tc.device || fe.TraceID != 77) {
+				t.Fatalf("device %d trace %d lost in the fold", fe.Device, fe.TraceID)
+			}
+		})
+	}
+}
+
+// TestOversizedResponseSaysSo pins the response limit: a declared
+// length past it fails before any byte is read, an undeclared one at
+// the limit, and either way the error names the limit instead of
+// quoting a cut-off body.
+func TestOversizedResponseSaysSo(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(maxResponseBytes+1))
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"jsonrpc":"2.0"`)
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	defer c.Close()
+	_, err := c.Retrieve(context.Background(), map[string]string{"part": "p1"})
+	var fe *fxdist.Error
+	if !errors.As(err, &fe) || fe.Code != fxdist.ErrCodeInternal || !strings.Contains(fe.Message, "response exceeded 64 MiB") {
+		t.Fatalf("got %v, want an internal error saying the response exceeded 64 MiB", err)
+	}
+
+	// Without Content-Length the read stops one byte past the limit.
+	const limit = 1 << 10
+	for _, n := range []int{limit, limit + 1} {
+		res := &http.Response{ContentLength: -1, Body: io.NopCloser(strings.NewReader(strings.Repeat("x", n)))}
+		data, err := readBody(res, limit)
+		if tooLarge := errors.As(err, new(errTooLarge)); tooLarge != (n > limit) || (!tooLarge && len(data) != n) {
+			t.Fatalf("%d-byte body under a %d-byte limit: %d bytes, %v", n, limit, len(data), err)
+		}
 	}
 }

@@ -189,6 +189,11 @@ type BatchParams struct {
 type RetrieveResult struct {
 	APIVersion string `json:"api_version"`
 	// Records are the matching records, field values in schema order.
+	// As decoded by the client, all records share one backing string
+	// and one []string array, so keeping any one record keeps the whole
+	// answer alive: copy the values out to keep a record past the
+	// answer. Each record is capped at its length, so an append to it
+	// copies instead of overwriting the next record.
 	Records [][]string `json:"records"`
 	// DeviceBuckets[i] is the number of qualified buckets device i
 	// accessed — the paper's per-device response size.

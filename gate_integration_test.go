@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -21,10 +23,16 @@ import (
 // gateFixture builds a loaded file, an FX allocator, a fresh in-memory
 // cluster (empty plan cache) and a Gate over them, served via httptest
 // with the observability surface mounted like cmd/fxgate mounts it.
-func gateFixture(t *testing.T, tenants []gate.TenantConfig, window time.Duration, maxBatch int) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+func gateFixture(t testing.TB, tenants []gate.TenantConfig, window time.Duration, maxBatch int) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
+	return gateFixtureOf(t, 200, 1200, tenants, window, maxBatch)
+}
+
+// gateFixtureOf is gateFixture over n records whose part field has the
+// given cardinality (supplier has 40 values, warehouse 8).
+func gateFixtureOf(t testing.TB, parts, n int, tenants []gate.TenantConfig, window time.Duration, maxBatch int) (*fxdist.Cluster, *gate.Gate, *httptest.Server) {
 	t.Helper()
 	spec := fxdist.RecordSpec{Fields: []fxdist.FieldSpec{
-		{Name: "part", Cardinality: 200},
+		{Name: "part", Cardinality: parts},
 		{Name: "supplier", Cardinality: 40},
 		{Name: "warehouse", Cardinality: 8},
 	}}
@@ -32,7 +40,7 @@ func gateFixture(t *testing.T, tenants []gate.TenantConfig, window time.Duration
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := fxdist.GenerateRecords(spec, 1200, 7)
+	records, err := fxdist.GenerateRecords(spec, n, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,3 +398,81 @@ func rawCall(endpoint, key, method string, params any, out any) error {
 }
 
 func jsonBody(s string) io.Reader { return strings.NewReader(s) }
+
+// roundTripFixture serves 11000 records through a gate with coalescing
+// off, so a round trip measures the JSON tier and not the batching
+// window: a part query answers about 30 records, a supplier query
+// about 275, the front-door workload's mean answer.
+func roundTripFixture(tb testing.TB) *client.Client {
+	tenants := []gate.TenantConfig{{Name: "solo", APIKey: "key-solo"}}
+	_, _, srv := gateFixtureOf(tb, 366, 11000, tenants, -1, 8)
+	c := client.New(srv.URL+"/rpc", client.WithAPIKey("key-solo"))
+	tb.Cleanup(c.Close)
+	return c
+}
+
+// BenchmarkGateRoundTrip is the JSON tier's rung of the layer ladder:
+// client.Retrieve through an httptest gate to a memory cluster, about
+// 275 records per answer.
+func BenchmarkGateRoundTrip(b *testing.B) {
+	c := roundTripFixture(b)
+	ctx := context.Background()
+	queries := make([]map[string]string, 40)
+	for i := range queries {
+		queries[i] = map[string]string{"supplier": fmt.Sprintf("supplier-%d", i)}
+	}
+	for _, q := range queries {
+		if _, err := c.Retrieve(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Retrieve(ctx, queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestGateRoundTripAllocsFlatInRecords pins the JSON tier's allocation
+// count as independent of the answer size: a warm round trip for ~275
+// records allocates no more than one for ~30, within a small constant
+// for net/http's own variation.
+func TestGateRoundTripAllocsFlatInRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	const slack = 5
+	c := roundTripFixture(t)
+	ctx := context.Background()
+	measure := func(field string) (allocs float64, records int) {
+		queries := make([]map[string]string, 20)
+		for i := range queries {
+			queries[i] = map[string]string{field: fmt.Sprintf("%s-%d", field, i)}
+			res, err := c.Retrieve(ctx, queries[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			records += len(res.Records)
+		}
+		i := 0
+		allocs = testing.AllocsPerRun(len(queries), func() {
+			if _, err := c.Retrieve(ctx, queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		return allocs, records / len(queries)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	small, nSmall := measure("part")
+	large, nLarge := measure("supplier")
+	t.Logf("round trip: %.1f allocs for ~%d records, %.1f for ~%d", small, nSmall, large, nLarge)
+	if nLarge < 5*nSmall {
+		t.Fatalf("answers of %d and %d records do not differ enough to test", nSmall, nLarge)
+	}
+	if large > small+slack {
+		t.Fatalf("round trip allocates %.1f for ~%d records but %.1f for ~%d: grows with the answer",
+			large, nLarge, small, nSmall)
+	}
+}

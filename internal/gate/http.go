@@ -3,11 +3,14 @@ package gate
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"fxdist"
@@ -34,8 +37,14 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "fxgate speaks JSON-RPC 2.0 over POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		msg := fmt.Sprintf("request body exceeds the %d MiB limit", maxBodyBytes>>20)
+		writeResponse(w, http.StatusRequestEntityTooLarge, errorResponse(nil, client.InvalidRequestError(msg)))
+		return
+	case err != nil:
 		writeResponse(w, http.StatusBadRequest, errorResponse(nil, client.ParseError("read body: "+err.Error())))
 		return
 	}
@@ -58,11 +67,11 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeResponse(w, http.StatusOK, errorResponse(nil, client.InvalidRequestError("empty batch envelope")))
 			return
 		}
-		responses := make([]client.Response, len(reqs))
+		responses := make([]response, len(reqs))
 		for i := range reqs {
 			responses[i], _ = g.serveOne(r, t, &reqs[i])
 		}
-		writeJSON(w, http.StatusOK, responses)
+		writeResponse(w, http.StatusOK, responses)
 		return
 	}
 
@@ -84,7 +93,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serveOne admits and runs one JSON-RPC frame, returning its response
 // and the HTTP status a single-frame envelope should carry.
-func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client.Response, int) {
+func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (response, int) {
 	if req.JSONRPC != "2.0" || req.Method == "" {
 		return errorResponse(req.ID, client.InvalidRequestError("not a JSON-RPC 2.0 request")), http.StatusOK
 	}
@@ -156,12 +165,7 @@ func (g *Gate) serveOne(r *http.Request, t *tenant, req *client.Request) (client
 		}
 		return errorResponse(req.ID, client.FromError(herr)), status
 	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		e := fxdist.NewError(fxdist.ErrCodeInternal, "marshal result: "+err.Error())
-		return errorResponse(req.ID, client.FromError(e)), http.StatusOK
-	}
-	return client.Response{JSONRPC: "2.0", ID: req.ID, Result: raw}, http.StatusOK
+	return response{JSONRPC: "2.0", ID: req.ID, Result: result}, http.StatusOK
 }
 
 // requestCost prices a frame in rate-limiter tokens: one per query.
@@ -193,21 +197,50 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-func errorResponse(id json.RawMessage, e *client.ErrorObject) client.Response {
-	return client.Response{JSONRPC: "2.0", ID: id, Error: e}
+// response is one JSON-RPC response frame as the gate writes it: the
+// JSON shape of client.Response, with Result holding the handler's value
+// so that the result is marshalled once, inside its frame.
+type response struct {
+	JSONRPC string              `json:"jsonrpc"`
+	ID      json.RawMessage     `json:"id,omitempty"`
+	Result  any                 `json:"result,omitempty"`
+	Error   *client.ErrorObject `json:"error,omitempty"`
 }
 
-func writeResponse(w http.ResponseWriter, status int, res client.Response) {
-	writeJSON(w, status, res)
+func errorResponse(id json.RawMessage, e *client.ErrorObject) response {
+	return response{JSONRPC: "2.0", ID: id, Error: e}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// maxPooledBuffer caps the response buffers kept for reuse, so one
+// whole-relation answer does not pin megabytes in the pool.
+const maxPooledBuffer = 1 << 20
+
+var responseBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeResponse marshals v, one response frame or a batch array of
+// them, once, into a pooled buffer and writes it with its
+// Content-Length. The bytes are json.Marshal's: HTML characters,
+// U+2028 and U+2029 escaped, invalid UTF-8 as \ufffd. A value that
+// cannot be marshalled is answered with an internal-error frame and
+// HTTP 500.
+func writeResponse(w http.ResponseWriter, status int, v any) {
+	buf := responseBuffers.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBuffer {
+			responseBuffers.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		e := fxdist.NewError(fxdist.ErrCodeInternal, "marshal response: "+err.Error())
+		_ = json.NewEncoder(buf).Encode(errorResponse(nil, client.FromError(e))) // strings and ints only: cannot fail
 	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	out := bytes.TrimSuffix(buf.Bytes(), []byte("\n")) // Encode ends the value with a newline; Marshal does not
+	h := w.Header()
+	h.Set("Content-Type", "application/json; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(status)
-	w.Write(buf)
+	_, _ = w.Write(out) // a client that went away is no error of the gate's
 }

@@ -31,7 +31,7 @@ if [ -z "$OUT" ]; then
 	done
 fi
 
-PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency)'
+PATTERN='^(BenchmarkAddressFX|BenchmarkInverseMapping|BenchmarkClusterRetrieve|BenchmarkBatchRetrieve|BenchmarkDistributedRetrieve|BenchmarkDurableRetrieve|BenchmarkDurableBulkLoad|BenchmarkPlanCache|BenchmarkRetrieveWithInjectedLatency|BenchmarkGateRoundTrip)'
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
